@@ -21,8 +21,10 @@
 // build, and the process exits nonzero).
 //
 // BENCH_filter.json records per-mode wall time plus the filter's
-// candidate counts and pruning ratio, and the filtered-vs-full-scan /
-// filtered-vs-ea-scan speedups the acceptance bar reads.
+// candidate counts and pruning ratio, the filtered-vs-full-scan /
+// filtered-vs-ea-scan speedups the acceptance bar reads, and the wall
+// time of one 8-bit quantized-codes build over the relation (every shard;
+// the cost the first filtered query and every recompaction fold pay).
 //
 // Usage: filter_pruning [count] [out.json]   (count 0 = both workloads)
 
@@ -35,6 +37,7 @@
 
 #include "bench/bench_common.h"
 #include "core/database.h"
+#include "filter/quantized_codes.h"
 #include "util/logging.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
@@ -64,6 +67,7 @@ struct WorkloadResult {
   std::vector<ModeResult> join;
   double range_speedup_vs_full = 0.0;
   double range_speedup_vs_ea = 0.0;
+  double codes_build_ms = 0.0;  // one 8-bit codes build, all shards
   bool mismatch = false;
 };
 
@@ -160,6 +164,15 @@ WorkloadResult RunWorkload(const std::string& name, int count,
   result.epsilon =
       bench::CalibrateRangeEpsilon(*db, "r", /*probe_id=*/0, nullptr,
                                    /*target_answers=*/24);
+
+  const ShardedRelation& data = db->GetRelation("r")->sharded();
+  result.codes_build_ms = bench::MedianMillis(
+      [&] {
+        for (int s = 0; s < data.num_shards(); ++s) {
+          const QuantizedCodes codes(data.shard(s).store(), /*bits=*/8);
+        }
+      },
+      repetitions);
 
   std::vector<int64_t> probes;
   for (int p = 0; p < 16; ++p) {
@@ -361,6 +374,7 @@ void Run(int only_count, const std::string& out_path) {
         "early-abandon scan; answers %s\n",
         result.range_speedup_vs_full, result.range_speedup_vs_ea,
         result.mismatch ? "MISMATCH" : "identical");
+    std::printf("8-bit codes build: %.3f ms\n", result.codes_build_ms);
     mismatch = mismatch || result.mismatch;
   }
 
@@ -387,8 +401,10 @@ void Run(int only_count, const std::string& out_path) {
     std::fprintf(out,
                  "     \"range_speedup_vs_full\": %.3f,\n"
                  "     \"range_speedup_vs_ea\": %.3f,\n"
+                 "     \"codes_build_ms\": %.4f,\n"
                  "     \"mismatch\": %s}%s\n",
                  result.range_speedup_vs_full, result.range_speedup_vs_ea,
+                 result.codes_build_ms,
                  result.mismatch ? "true" : "false",
                  w + 1 < results.size() ? "," : "");
   }

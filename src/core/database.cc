@@ -885,9 +885,12 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
   // strategy branch: a failed compile (the "filter.compile" failpoint)
   // falls through to the exact scan below with the degradation counted --
   // same answers, no acceleration, never an abort.
+  const int trace_parent = trace != nullptr ? trace->engine_parent() : 0;
   std::optional<ShardFilterState> filter_state;
   if (strategy == ExecutionStrategy::kScan && columnar && n >= 1 &&
       UseQuantizedFilter(query.filter)) {
+    // Code resolve (a compile when stale) plus the per-shard LUT builds.
+    obs::ScopedSpan setup_span(trace, "filter.setup", trace_parent);
     filter_state = MakeShardFilterState(
         data, filter_options_.bits_per_dim, checker.query_ri().data(),
         checker.mult_ri(), n, /*with_upper=*/false);
@@ -907,7 +910,6 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
     FillShardEstimates(data, filter_options_.bits_per_dim, checker, n,
                        query.epsilon, /*k=*/0, &out.stats);
   }
-  const int trace_parent = trace != nullptr ? trace->engine_parent() : 0;
 
   if (strategy == ExecutionStrategy::kIndex) {
     const std::vector<Complex> query_coeffs =
@@ -1365,9 +1367,11 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
 
   // Same degradation discipline as ExecuteRange: resolve the quantized
   // codes before the branch; a failed compile runs the batched exact scan.
+  const int trace_parent = trace != nullptr ? trace->engine_parent() : 0;
   std::optional<ShardFilterState> filter_state;
   if (strategy == ExecutionStrategy::kScan && checker.columnar() && n >= 1 &&
       UseQuantizedFilter(query.filter)) {
+    obs::ScopedSpan setup_span(trace, "filter.setup", trace_parent);
     filter_state = MakeShardFilterState(
         data, filter_options_.bits_per_dim, checker.query_ri().data(),
         checker.mult_ri(), n, /*with_upper=*/true);
@@ -1386,7 +1390,6 @@ Result<QueryResult> Database::ExecuteNearest(const Relation& relation,
     FillShardEstimates(data, filter_options_.bits_per_dim, checker, n,
                        /*epsilon=*/0.0, query.k, &out.stats);
   }
-  const int trace_parent = trace != nullptr ? trace->engine_parent() : 0;
 
   if (strategy == ExecutionStrategy::kIndex) {
     const std::vector<Complex> query_coeffs =
@@ -1879,6 +1882,10 @@ Result<QueryResult> Database::SelfJoin(
       std::vector<const QuantizedCodes*> shard_codes;
       double max_energy = 0.0;
       if (join_filter) {
+        obs::Trace* const trace = ctx != nullptr ? ctx->trace() : nullptr;
+        obs::ScopedSpan setup_span(
+            trace, "filter.setup",
+            trace != nullptr ? trace->engine_parent() : 0);
         const ShardedRelation& data = relation->sharded();
         const int bits = filter_options_.bits_per_dim;
         shard_codes.reserve(static_cast<size_t>(data.num_shards()));

@@ -47,6 +47,9 @@ class QuantizedCodes {
  public:
   /// Trains the quantizer on `store` and encodes every row. `bits` is
   /// clamped to the supported layouts (ScalarQuantizer::kMinBits..kMaxBits).
+  /// The build fans out on ThreadPool::Global() (inline when called from
+  /// a pool worker or under a one-thread parallelism budget); the result
+  /// does not depend on the thread count.
   QuantizedCodes(const FeatureStore& store, int bits);
 
   QuantizedCodes(const QuantizedCodes&) = delete;

@@ -20,11 +20,21 @@
 /// FeatureStore columns (core/sharded_relation.h owns the cache); they
 /// are immutable after Train, so any number of query threads may share
 /// one without locking.
+///
+/// Training walks the store in blocks of kDimBlock dimensions -- one
+/// 64-byte line of every padded spectrum row -- gathering each block's
+/// columns into per-task scratch (never a transpose of the whole store),
+/// and fans the blocks out on ThreadPool::Global(). Each column's
+/// quantiles are read off an LSD radix sort of order-preserving integer
+/// keys, and Encode is a fixed-depth branchless search whose predicate is
+/// std::upper_bound's own, so edges, codes and clamping (NaN included)
+/// match a comparison sort plus upper_bound exactly.
 
 #ifndef SIMQ_FILTER_QUANTIZER_H_
 #define SIMQ_FILTER_QUANTIZER_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/feature_store.h"
@@ -44,11 +54,26 @@ class ScalarQuantizer {
   /// Narrowest / widest supported code layouts.
   static constexpr int kMinBits = 4;
   static constexpr int kMaxBits = 8;
+  /// Dimensions per training block: one 64-byte line of a spectrum row.
+  static constexpr int kDimBlock = 8;
+
+  /// Called once per trained block of `num_dims` (<= kDimBlock)
+  /// dimensions starting at `first_dim`, after their edges are final,
+  /// with the block's gathered columns: `num_dims` runs of store.size()
+  /// doubles each, in row order. Distinct blocks run concurrently on the
+  /// pool, so a visitor may write only state owned by its block's
+  /// dimensions.
+  using BlockVisitor =
+      std::function<void(const ScalarQuantizer& quantizer, int first_dim,
+                         int num_dims, const double* columns)>;
 
   /// Trains per-dimension quantile boundaries over every spectrum row of
   /// `store`. `bits` is clamped to [kMinBits, kMaxBits]. An empty store
-  /// yields an empty quantizer (dims() == 0).
-  static ScalarQuantizer Train(const FeatureStore& store, int bits);
+  /// yields an empty quantizer (dims() == 0). `visit`, if set, sees every
+  /// block's columns while they are still in scratch (QuantizedCodes
+  /// encodes there, so the store is gathered once).
+  static ScalarQuantizer Train(const FeatureStore& store, int bits,
+                               const BlockVisitor& visit = nullptr);
 
   ScalarQuantizer() = default;
 
@@ -66,6 +91,11 @@ class ScalarQuantizer {
   /// <= value, clamped to [0, cells() - 1]. For any value in
   /// [bounds(d)[0], bounds(d)[cells()]] the returned cell brackets it.
   uint32_t Encode(int d, double value) const;
+
+  /// Encode over a whole column: codes[i] = Encode(d, values[i]) for
+  /// i < count.
+  void EncodeColumn(int d, const double* values, int64_t count,
+                    uint8_t* codes) const;
 
   /// Sum over all dimensions of the squared magnitude of the widest cell
   /// edge: an upper bound on the energy of any encoded row, used by the

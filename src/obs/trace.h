@@ -12,8 +12,9 @@
 /// Stages recorded today (the span glossary in docs/OBSERVABILITY.md):
 /// parse, admission, execute (with the engine choice in its note), cache
 /// probe results, per-shard index descents and scans (one span per shard,
-/// with candidate/exact-check counts), the quantized filter and refine
-/// phases, and the final merge/sort. The service closes the root span and
+/// with candidate/exact-check counts), the quantized filter's setup (code
+/// compile and LUT build), filter and refine phases, and the final
+/// merge/sort. The service closes the root span and
 /// stamps the returned row count.
 ///
 /// Thread-safety: spans may be opened and closed from any thread (the

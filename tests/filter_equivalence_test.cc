@@ -10,13 +10,23 @@
 // round-trip through the bit-packed rows, the lower/upper-bound sandwich
 // against brute-force distances, the stale-on-mutation rebuild contract,
 // and the planner bias of an explicit MODE FILTERED under VIA AUTO.
+//
+// Code identity: the blocked, radix-sorted, branchless, pool-parallel
+// codes build must reproduce the straightforward build (a std::sort per
+// dimension plus a std::upper_bound encode, row-major) exactly -- edges,
+// packed rows, dimension planes, scan order and row-energy bound -- at
+// every width, at store sizes around the cell count, with a partial last
+// dimension block, duplicated rows, and two builds racing on the pool.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,6 +38,7 @@
 #include "filter/quantized_codes.h"
 #include "filter/quantizer.h"
 #include "ts/transforms.h"
+#include "util/thread_pool.h"
 #include "workload/generators.h"
 
 namespace simq {
@@ -170,6 +181,244 @@ TEST(QuantizedCodes, PackedRowsRoundTripEveryWidth) {
                   codes.quantizer().Encode(d, row[d]))
             << "bits " << bits << " row " << i << " dim " << d;
       }
+    }
+  }
+}
+
+FeatureStore StoreOf(const std::vector<TimeSeries>& series) {
+  FeatureStore store;
+  for (const TimeSeries& ts : series) {
+    const auto normal = ToNormalForm(ts.values);
+    store.Append(ComputeFeatures(ts.values), normal.values);
+  }
+  return store;
+}
+
+// The reference codes build: per dimension, a gathered column sorted with
+// std::sort for the quantile edges, then a row-major encode through
+// std::upper_bound that packs the rows, fills the dimension planes and
+// accumulates the column sums, and a variance sort for the scan order.
+struct ReferenceCodes {
+  int dims = 0;
+  int cells = 0;
+  int64_t row_stride = 0;
+  double max_row_energy = 0.0;
+  std::vector<double> bounds;  // dims * (cells + 1)
+  std::vector<uint8_t> codes;
+  std::vector<uint8_t> columns;
+  std::vector<int32_t> scan_order;
+
+  const double* edges(int d) const {
+    return bounds.data() + static_cast<size_t>(d) * (cells + 1);
+  }
+};
+
+uint32_t ReferenceEncode(const double* edges, int cells, double value) {
+  const double* it = std::upper_bound(edges, edges + cells + 1, value);
+  int64_t c = (it - edges) - 1;
+  if (c < 0) {
+    c = 0;
+  } else if (c >= cells) {
+    c = cells - 1;
+  }
+  return static_cast<uint32_t>(c);
+}
+
+ReferenceCodes BuildReferenceCodes(const FeatureStore& store, int bits) {
+  ReferenceCodes ref;
+  ref.cells = 1 << bits;
+  const int64_t count = store.size();
+  ref.dims = 2 * store.spectrum_length();
+  const int dims = ref.dims;
+  ref.bounds.resize(static_cast<size_t>(dims) * (ref.cells + 1));
+  std::vector<double> column(static_cast<size_t>(count));
+  for (int d = 0; d < dims; ++d) {
+    for (int64_t i = 0; i < count; ++i) {
+      column[static_cast<size_t>(i)] = store.SpectrumRow(i)[d];
+    }
+    std::sort(column.begin(), column.end());
+    double* edges =
+        ref.bounds.data() + static_cast<size_t>(d) * (ref.cells + 1);
+    for (int c = 0; c <= ref.cells; ++c) {
+      const int64_t rank =
+          count <= 1 ? 0 : static_cast<int64_t>(c) * (count - 1) / ref.cells;
+      edges[c] = column[static_cast<size_t>(rank)];
+    }
+    const double widest =
+        std::max(std::abs(edges[0]), std::abs(edges[ref.cells]));
+    ref.max_row_energy += widest * widest;
+  }
+  const int64_t payload = (static_cast<int64_t>(dims) * bits + 7) / 8;
+  ref.row_stride = (payload + 8 + 7) & ~int64_t{7};
+  ref.codes.assign(static_cast<size_t>(count * ref.row_stride), 0);
+  ref.columns.resize(static_cast<size_t>(dims) * count);
+  std::vector<double> sum(static_cast<size_t>(dims), 0.0);
+  std::vector<double> sum_sq(static_cast<size_t>(dims), 0.0);
+  for (int64_t i = 0; i < count; ++i) {
+    const double* row = store.SpectrumRow(i);
+    uint8_t* out = ref.codes.data() + i * ref.row_stride;
+    for (int d = 0; d < dims; ++d) {
+      const uint64_t code = ReferenceEncode(ref.edges(d), ref.cells, row[d]);
+      const int64_t bit = static_cast<int64_t>(d) * bits;
+      uint64_t word = 0;
+      std::memcpy(&word, out + (bit >> 3), sizeof(word));
+      word |= code << (bit & 7);
+      std::memcpy(out + (bit >> 3), &word, sizeof(word));
+      ref.columns[static_cast<size_t>(d) * count + i] =
+          static_cast<uint8_t>(code);
+      sum[static_cast<size_t>(d)] += row[d];
+      sum_sq[static_cast<size_t>(d)] += row[d] * row[d];
+    }
+  }
+  std::vector<double> variance(static_cast<size_t>(dims), 0.0);
+  for (int d = 0; d < dims; ++d) {
+    const double mean =
+        sum[static_cast<size_t>(d)] / static_cast<double>(count);
+    variance[static_cast<size_t>(d)] =
+        sum_sq[static_cast<size_t>(d)] / static_cast<double>(count) -
+        mean * mean;
+  }
+  ref.scan_order.resize(static_cast<size_t>(dims));
+  for (int d = 0; d < dims; ++d) {
+    ref.scan_order[static_cast<size_t>(d)] = d;
+  }
+  std::sort(ref.scan_order.begin(), ref.scan_order.end(),
+            [&](int32_t a, int32_t b) {
+              if (variance[static_cast<size_t>(a)] !=
+                  variance[static_cast<size_t>(b)]) {
+                return variance[static_cast<size_t>(a)] >
+                       variance[static_cast<size_t>(b)];
+              }
+              return a < b;
+            });
+  return ref;
+}
+
+bool SameBytes(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+// Edges equal as doubles (a radix sort may order -0.0 and +0.0 unlike
+// std::sort; no code depends on that order); everything else
+// byte-identical.
+void ExpectSameCodes(const ReferenceCodes& ref, const QuantizedCodes& codes,
+                     const std::string& context) {
+  ASSERT_EQ(codes.dims(), ref.dims) << context;
+  ASSERT_EQ(codes.cells(), ref.cells) << context;
+  ASSERT_EQ(codes.row_stride(), ref.row_stride) << context;
+  const int64_t count = codes.size();
+  for (int d = 0; d < ref.dims; ++d) {
+    const double* edges = codes.quantizer().bounds(d);
+    for (int c = 0; c <= ref.cells; ++c) {
+      ASSERT_EQ(edges[c], ref.edges(d)[c])
+          << context << " dim " << d << " edge " << c;
+    }
+    ASSERT_EQ(std::memcmp(codes.Column(d),
+                          ref.columns.data() + static_cast<size_t>(d) * count,
+                          static_cast<size_t>(count)),
+              0)
+        << context << " column " << d;
+  }
+  if (count > 0) {
+    ASSERT_EQ(std::memcmp(codes.CodeRow(0), ref.codes.data(),
+                          static_cast<size_t>(count * ref.row_stride)),
+              0)
+        << context << " packed rows";
+  }
+  EXPECT_EQ(codes.scan_order(), ref.scan_order) << context;
+  EXPECT_TRUE(SameBytes(codes.quantizer().max_row_energy(),
+                        ref.max_row_energy))
+      << context << " max_row_energy " << codes.quantizer().max_row_energy()
+      << " vs " << ref.max_row_energy;
+}
+
+TEST(QuantizedCodes, BuildMatchesReferenceAtEveryWidthAndSize) {
+  // Odd spectrum length 33: 66 dimensions, so the last block of 8 holds 2.
+  // The tie-heavy workload repeats rows exactly (dup*, shift*).
+  const std::vector<TimeSeries> pool = TieHeavyWorkload(300, 33, 5);
+  for (const int bits : {4, 5, 6, 7, 8}) {
+    const int cells = 1 << bits;
+    for (const int rows : {1, 2, cells - 1, cells + 1, 1067}) {
+      const FeatureStore store = StoreOf(std::vector<TimeSeries>(
+          pool.begin(), pool.begin() + rows));
+      const ReferenceCodes ref = BuildReferenceCodes(store, bits);
+      const std::string context =
+          "bits " + std::to_string(bits) + " rows " + std::to_string(rows);
+      {
+        const QuantizedCodes pooled(store, bits);
+        ExpectSameCodes(ref, pooled, context + " pooled");
+      }
+      {
+        ThreadPool::ScopedParallelismBudget serial(1);
+        const QuantizedCodes inline_build(store, bits);
+        ExpectSameCodes(ref, inline_build, context + " serial");
+      }
+    }
+  }
+}
+
+TEST(QuantizedCodes, FullBlocksMatchReferenceOnDuplicatedRows) {
+  // Length 128: 256 dimensions, every block full; every row appears twice.
+  std::vector<TimeSeries> series = workload::RandomWalkSeries(400, 128, 61);
+  const size_t base = series.size();
+  for (size_t i = 0; i < base; ++i) {
+    series.push_back(series[i]);
+  }
+  const FeatureStore store = StoreOf(series);
+  for (const int bits : {4, 8}) {
+    const QuantizedCodes codes(store, bits);
+    ExpectSameCodes(BuildReferenceCodes(store, bits), codes,
+                    "bits " + std::to_string(bits));
+  }
+}
+
+TEST(Quantizer, EncodeClampsLikeUpperBoundOutsideTheGrid) {
+  const FeatureStore store =
+      StoreOf(workload::RandomWalkSeries(100, 21, 29));
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const int bits : {4, 5, 6, 7, 8}) {
+    const ScalarQuantizer q = ScalarQuantizer::Train(store, bits);
+    for (int d = 0; d < q.dims(); ++d) {
+      const double* edges = q.bounds(d);
+      std::vector<double> probes = {
+          -kInf, kInf, std::numeric_limits<double>::quiet_NaN(),
+          -std::numeric_limits<double>::quiet_NaN(),
+          edges[0] - 1.0, edges[q.cells()] + 1.0, -0.0, 0.0};
+      for (int c = 0; c <= q.cells(); ++c) {
+        probes.push_back(edges[c]);
+        probes.push_back(std::nextafter(edges[c], -kInf));
+        probes.push_back(std::nextafter(edges[c], kInf));
+      }
+      for (const double value : probes) {
+        EXPECT_EQ(q.Encode(d, value),
+                  ReferenceEncode(edges, q.cells(), value))
+            << "bits " << bits << " dim " << d << " value " << value;
+      }
+    }
+  }
+}
+
+TEST(QuantizedCodes, ConcurrentBuildsOnThePoolMatchASerialBuild) {
+  // Two builds of the same store fan out on the shared pool at once (a
+  // query's lazy compile racing a fold); both must equal the serial
+  // reference build.
+  const FeatureStore store =
+      StoreOf(workload::RandomWalkSeries(1067, 64, 73));
+  const ReferenceCodes serial = BuildReferenceCodes(store, 8);
+  for (int round = 0; round < 3; ++round) {
+    std::unique_ptr<QuantizedCodes> built[2];
+    std::thread builders[2];
+    for (int t = 0; t < 2; ++t) {
+      builders[t] = std::thread(
+          [&, t] { built[t] = std::make_unique<QuantizedCodes>(store, 8); });
+    }
+    for (std::thread& builder : builders) {
+      builder.join();
+    }
+    for (int t = 0; t < 2; ++t) {
+      ExpectSameCodes(serial, *built[t],
+                      "round " + std::to_string(round) + " builder " +
+                          std::to_string(t));
     }
   }
 }

@@ -22,6 +22,7 @@
 #include "service/query_service.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -90,15 +91,23 @@ TEST(MvccStressTest, ReadersNeverBlockOnRecompaction) {
       "RANGE r WITHIN 4.0 OF #walk5 VIA SCAN MODE FILTERED",
   };
 
+  // Readers stay in flight until the recompactor has completed this many
+  // folds underneath them -- the overlap the test exists to create -- or
+  // until kOverlapDeadline passes, so a stuck recompactor fails the
+  // overlap assertion below instead of hanging the test. A bound on the
+  // reader's query count instead would race the folds: cached answers
+  // make reads far cheaper than a fold.
+  constexpr int kOverlapFolds = 3;
+  const auto overlap_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+
   auto reader = [&](int reader_id) {
     ExecOptions bounded;
     bounded.deadline_ms = kDeadlineMs;
-    // Run the quota, then keep querying until a few recompactions have
-    // completed underneath us -- the overlap the test exists to create.
-    // Bounded so a stuck recompactor fails the overlap assertion below
-    // instead of hanging the test.
     for (int i = 0;
-         i < kQueriesPerReader || (recompactions.load() < 3 && i < 4000);
+         i < kQueriesPerReader ||
+         (recompactions.load() < kOverlapFolds &&
+          std::chrono::steady_clock::now() < overlap_deadline);
          ++i) {
       const size_t which = static_cast<size_t>(
           (i + reader_id) % static_cast<int>(texts.size()));
@@ -167,7 +176,7 @@ TEST(MvccStressTest, ReadersNeverBlockOnRecompaction) {
   EXPECT_EQ(failures.load(), 0);
   // Overlap must be real: a recompactor that only ran after the readers
   // drained would vacuously pass the deadline check.
-  EXPECT_GE(recompactions.load(), 3);
+  EXPECT_GE(recompactions.load(), kOverlapFolds);
 
   // Quiesced identity: one more fold, then the published generation must
   // answer exactly like a cold full scan, and generations advanced
@@ -221,6 +230,14 @@ TEST(MvccStressTest, BackgroundRecompactorKeepsDeltaBounded) {
         service.ExecuteText("RANGE r WITHIN 3.0 OF #walk1 VIA FULLSCAN");
     ASSERT_TRUE(final_answer.ok());
     expect_names = MatchNames(final_answer.value().result);
+    // Folds run on background threads and may still be building when the
+    // last insert returns; wait (bounded) for the first to publish.
+    const auto fold_deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (service.stats().recompactions < 1 &&
+           std::chrono::steady_clock::now() < fold_deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
     const ServiceStats stats = service.stats();
     EXPECT_GE(stats.recompactions, 1)
         << "threshold crossings never scheduled a background fold";

@@ -243,6 +243,40 @@ TEST(TraceTest, ForcedTraceCarriesServiceAndEngineSpans) {
   EXPECT_EQ(untraced.value().trace, nullptr);
 }
 
+TEST(TraceTest, ColdFilteredQueriesAttributeTheCodeCompile) {
+  // The first filtered query of a relation compiles its quantized codes;
+  // that time must show as a filter.setup span under execute, not as
+  // unattributed execute time. One cold service per query shape.
+  const std::vector<std::string> texts = {
+      "RANGE r WITHIN 4.0 OF #walk3 VIA SCAN MODE FILTERED",
+      "NEAREST 5 r TO #walk2 VIA SCAN MODE FILTERED",
+      "PAIRS r WITHIN 1.5 VIA SCAN MODE FILTERED",
+  };
+  for (const std::string& text : texts) {
+    QueryService service(MakeDatabase());
+    ExecOptions options;
+    options.force_trace = true;
+    const Result<ServiceResult> result =
+        service.OpenSession()->Execute(text, options);
+    ASSERT_TRUE(result.ok()) << text << ": " << result.status().ToString();
+    ASSERT_TRUE(result.value().result.stats.used_filter) << text;
+    ASSERT_NE(result.value().trace, nullptr) << text;
+    const std::vector<obs::TraceSpan> spans = result.value().trace->spans();
+    int setups = 0;
+    for (const obs::TraceSpan& span : spans) {
+      if (span.name != "filter.setup") {
+        continue;
+      }
+      ++setups;
+      ASSERT_GE(span.parent, 0) << text;
+      EXPECT_EQ(spans[static_cast<size_t>(span.parent)].name, "execute")
+          << text;
+      EXPECT_GT(span.elapsed_ms, 0.0) << text;
+    }
+    EXPECT_EQ(setups, 1) << text;
+  }
+}
+
 TEST(TraceTest, SamplerTracesOneInN) {
   ServiceOptions options;
   options.trace_sample_every = 4;
