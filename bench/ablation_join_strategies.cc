@@ -32,6 +32,11 @@ void Run() {
     const Relation* relation = db->GetRelation("r");
     const RTree& tree = relation->index();
     const double epsilon = 0.45;
+    std::vector<Spectrum> spectra;
+    spectra.reserve(relation->records().size());
+    for (const Record& record : relation->records()) {
+      spectra.push_back(ComputeFeatures(record.raw).normal_spectrum);
+    }
 
     // Strategy 1: index nested loop (method c).
     QueryResult nested;
@@ -69,8 +74,8 @@ void Run() {
             }
             ++sync_checks;
             const double distance = EuclideanDistanceEarlyAbandon(
-                relation->record(i).features.normal_spectrum,
-                relation->record(j).features.normal_spectrum, epsilon);
+                spectra[static_cast<size_t>(i)],
+                spectra[static_cast<size_t>(j)], epsilon);
             if (distance <= epsilon) {
               ++sync_pairs;
             }

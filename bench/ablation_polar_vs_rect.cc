@@ -9,6 +9,7 @@
 
 #include "bench/bench_common.h"
 #include "core/transformation.h"
+#include "ts/transforms.h"
 #include "util/table_printer.h"
 #include "workload/generators.h"
 
@@ -67,11 +68,11 @@ void Run() {
       // the calibrated answer sizes apply (distance D(T(x), T(probe))).
       std::vector<std::vector<double>> patterns(kQueries);
       for (int q = 0; q < kQueries; ++q) {
-        const Record& probe =
-            db->GetRelation("r")->record((q * 67) % 4000);
+        const std::vector<double> probe =
+            ToNormalForm(db->GetRelation("r")->record((q * 67) % 4000).raw)
+                .values;
         patterns[static_cast<size_t>(q)] =
-            spec.rule != nullptr ? spec.rule->Apply(probe.normal_values)
-                                 : probe.normal_values;
+            spec.rule != nullptr ? spec.rule->Apply(probe) : probe;
       }
       auto run_queries = [&] {
         answers = candidates = 0;

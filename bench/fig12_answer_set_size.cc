@@ -39,11 +39,11 @@ void Run() {
   const Relation* relation = db->GetRelation("r");
   const int64_t probe_id = 200;
   const std::vector<double> probe_pattern =
-      mavg20->Apply(relation->record(probe_id).normal_values);
+      mavg20->Apply(ToNormalForm(relation->record(probe_id).raw).values);
   std::vector<double> distances;
   for (const Record& record : relation->records()) {
-    distances.push_back(EuclideanDistance(mavg20->Apply(record.normal_values),
-                                          probe_pattern));
+    distances.push_back(EuclideanDistance(
+        mavg20->Apply(ToNormalForm(record.raw).values), probe_pattern));
   }
   std::sort(distances.begin(), distances.end());
 

@@ -49,7 +49,7 @@ void Run() {
   const Relation* relation = db->GetRelation("r");
   smoothed.reserve(static_cast<size_t>(relation->size()));
   for (const Record& record : relation->records()) {
-    smoothed.push_back(mavg20->Apply(record.normal_values));
+    smoothed.push_back(mavg20->Apply(ToNormalForm(record.raw).values));
   }
   std::vector<double> pair_distances;
   for (size_t i = 0; i < smoothed.size(); ++i) {

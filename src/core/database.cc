@@ -35,10 +35,6 @@ bool StatsAdmit(double mean, double std_dev, const Pattern& pattern) {
   return true;
 }
 
-bool PatternAdmits(const Record& record, const Pattern& pattern) {
-  return StatsAdmit(record.features.mean, record.features.std_dev, pattern);
-}
-
 // Cooperative-stop poll for the parallel driver loops: workers check this
 // at block boundaries (scan units, shards, outer rows, candidate batches)
 // and bail out early; the driver's epilogue then re-checks the context and
@@ -81,12 +77,13 @@ std::optional<Spectrum> MaterializeMultiplier(const TransformationRule* rule,
 }
 
 // Exact frequency-domain distance between T(data) and the query spectrum,
-// early-abandoning once the partial sum exceeds threshold. `multiplier` is
-// the materialized spectral form of T (nullptr for the identity). Relies on
+// early-abandoning once the partial sum exceeds threshold. `data` is an
+// interleaved store row of n coefficients, read in place; `multiplier` is
+// the materialized spectral form of T (nullptr for the identity) and may
+// be longer than n (expanding rules wrap the row around). Relies on
 // Parseval: this equals the time-domain distance between T(x) and q.
-double FreqDistance(const Spectrum& data, const Spectrum& query,
+double FreqDistance(const double* data, int n, const Spectrum& query,
                     const Spectrum* multiplier, double threshold) {
-  const int n = static_cast<int>(data.size());
   const int out_n = multiplier != nullptr
                         ? static_cast<int>(multiplier->size())
                         : n;
@@ -95,7 +92,8 @@ double FreqDistance(const Spectrum& data, const Spectrum& query,
       threshold == kInf ? kInf : threshold * threshold;
   double sum = 0.0;
   for (int f = 0; f < out_n; ++f) {
-    Complex value = data[static_cast<size_t>(f % n)];
+    const int k = f % n;
+    Complex value(data[2 * k], data[2 * k + 1]);
     if (multiplier != nullptr) {
       value *= (*multiplier)[static_cast<size_t>(f)];
     }
@@ -164,16 +162,19 @@ class ExactChecker {
                               limit_sq);
       return std::sqrt(dist_sq);
     }
-    const Record& record = relation_.record(id);
     if (query_.mode == DistanceMode::kNormalForm && spectral_) {
-      return FreqDistance(record.features.normal_spectrum, query_spectrum_,
-                          mult_, threshold);
+      return FreqDistance(data_.SpectrumRow(id), n_, query_spectrum_, mult_,
+                          threshold);
     }
-    const std::vector<double>& base =
-        query_.mode == DistanceMode::kNormalForm ? record.normal_values
-                                                 : record.raw;
+    std::vector<double> base;
+    if (query_.mode == DistanceMode::kNormalForm) {
+      const double* normal = data_.NormalRow(id);
+      base.assign(normal, normal + n_);
+    } else {
+      base = relation_.record(id).raw;
+    }
     const std::vector<double> transformed =
-        rule_ != nullptr ? rule_->Apply(base) : base;
+        rule_ != nullptr ? rule_->Apply(base) : std::move(base);
     return threshold == kInf
                ? EuclideanDistance(transformed, query_values_)
                : EuclideanDistanceEarlyAbandon(transformed, query_values_,
@@ -390,7 +391,7 @@ Relation::Relation(std::string name, const FeatureConfig& config,
                    const ShardingOptions& sharding)
     : name_(std::move(name)),
       config_(config),
-      data_(FeatureDimension(config), index_options, sharding) {}
+      data_(config, index_options, sharding) {}
 
 const Record& Relation::record(int64_t id) const {
   SIMQ_CHECK_GE(id, 0);
@@ -565,14 +566,11 @@ Result<int64_t> Database::Insert(const std::string& relation,
                                  "' already exists in relation");
   }
   record.raw = series.values;
-  record.normal_values = ToNormalForm(series.values).values;
-  record.features = ComputeFeatures(series.values);
 
-  // Route the record's derived data to its shard: the shard's store and
-  // tree grow, that shard's epoch bumps, and only that shard's packed
-  // snapshot is invalidated -- the other shards' snapshots stay warm.
-  rel->data_.Append(record.features, record.normal_values,
-                    MakeFeaturePoint(record.features, config_));
+  // Derive the record's data once, straight into its shard: the shard's
+  // store and tree grow, that shard's epoch bumps, and the other shards'
+  // snapshots stay warm.
+  rel->data_.Append(record.raw);
   rel->by_name_[record.name] = record.id;
   rel->records_.push_back(std::move(record));
   return rel->size() - 1;
@@ -622,22 +620,9 @@ Status Database::BulkLoad(const std::string& relation,
     rel->by_name_[record.name] = record.id;
     rel->records_.push_back(std::move(record));
   }
-  // Parallel per-shard build: every shard task computes its own records'
-  // normal forms and spectra (each id writes only its own records_ slot,
-  // so the fan-out is deterministic), fills the shard's columnar store,
-  // and STR-loads the shard's tree. With one shard this degenerates to
-  // the pre-sharding serial load.
-  rel->data_.BulkLoad(
-      static_cast<int64_t>(series.size()), [&](int64_t id) {
-        Record& record = rel->records_[static_cast<size_t>(id)];
-        record.normal_values = ToNormalForm(record.raw).values;
-        record.features = ComputeFeatures(record.raw);
-        ShardedRelation::RowData row;
-        row.features = &record.features;
-        row.normal_values = &record.normal_values;
-        row.point = MakeFeaturePoint(record.features, config_);
-        return row;
-      });
+  // Row-parallel derivation straight into the pre-sized shard stores,
+  // then the per-shard STR builds (core/sharded_relation.h).
+  rel->data_.BulkLoad(series);
   return Status::Ok();
 }
 
@@ -871,7 +856,9 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
       return Status::OutOfRange("pattern constant id out of range");
     }
     const Record& record = relation.record(*query.pattern.constant_id);
-    if (data.alive(record.id) && PatternAdmits(record, query.pattern)) {
+    if (data.alive(record.id) &&
+        StatsAdmit(data.mean(record.id), data.std_dev(record.id),
+                   query.pattern)) {
       ++out.stats.exact_checks;
       const double distance = checker.Distance(record.id, query.epsilon);
       if (distance <= query.epsilon) {
@@ -2128,7 +2115,8 @@ Result<QueryResult> Database::SelfJoin(
         if (alive[static_cast<size_t>(i)] == 0) {
           continue;  // dead rows never join; skip their transforms too
         }
-        const std::vector<double>& base = relation->record(i).normal_values;
+        const double* normal = relation->sharded().NormalRow(i);
+        const std::vector<double> base(normal, normal + n);
         left_values[static_cast<size_t>(i)] =
             left_rule != nullptr ? left_rule->Apply(base) : base;
         right_values[static_cast<size_t>(i)] =
@@ -2248,15 +2236,14 @@ Result<QueryResult> Database::SelfJoin(
                 if (alive[static_cast<size_t>(i)] == 0) {
                   continue;
                 }
-                const Record& probe = relation->record(i);
-                std::vector<Complex> query_coeffs = ExtractCoefficients(
-                    probe.features.normal_spectrum, config_.num_coefficients);
+                const double* a = base_rows[static_cast<size_t>(i)];
+                std::vector<Complex> query_coeffs =
+                    RowCoefficients(a, n, config_.num_coefficients);
                 if (left_transform.has_value()) {
                   query_coeffs = left_transform->Apply(query_coeffs);
                 }
                 const SearchRegion region =
                     SearchRegion::MakeRange(query_coeffs, epsilon, config_);
-                const double* a = base_rows[static_cast<size_t>(i)];
                 for (const auto* tree : trees) {
                   candidates.clear();
                   tree->Search(region, affines_ptr, &candidates);

@@ -43,13 +43,13 @@
 
 namespace simq {
 
-// One stored series with everything precomputed for query processing.
+// One stored series as inserted. Everything derived from it (normal form,
+// statistics, spectrum, index point) lives once, in the relation's sharded
+// FeatureStore (sharded().NormalRow(id), SpectrumRow(id), mean(id), ...).
 struct Record {
   int64_t id = 0;
   std::string name;
-  std::vector<double> raw;            // original values
-  std::vector<double> normal_values;  // Goldin-Kanellakis normal form
-  SeriesFeatures features;            // mean, std, normal-form spectrum
+  std::vector<double> raw;  // original values
 };
 
 // A unary relation of series. All members must have one common length
@@ -57,11 +57,11 @@ struct Record {
 // through time-warp transformations, not mixed relations.
 //
 // The relation keeps two synchronized views of its records: the global
-// row store (records(), names, dense insertion-order ids) and a sharded
-// data plane (sharded(): per-shard FeatureStore columns + R*-tree +
-// packed snapshot; see core/sharded_relation.h). With the default
-// ShardingOptions this is one shard and behaves exactly like the
-// pre-sharding engine.
+// row store (records(): ids, names and raw values, dense in insertion
+// order) and a sharded data plane (sharded(): per-shard FeatureStore
+// columns holding all derived data + R*-tree + packed snapshot; see
+// core/sharded_relation.h). With the default ShardingOptions this is one
+// shard and behaves exactly like the pre-sharding engine.
 class Relation {
  public:
   Relation(std::string name, const FeatureConfig& config,

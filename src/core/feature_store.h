@@ -1,10 +1,11 @@
 /// Columnar (structure-of-arrays) storage of a relation's derived data, plus
 /// the batch distance kernels that run over it.
 ///
-/// The row-of-structs layout (std::vector<Record>, each record owning its
-/// own heap-allocated Spectrum) forces every scan and join to chase a
-/// pointer per record and to run a branch-per-coefficient early-abandon
-/// loop. The FeatureStore lays the same data out as flat double arrays:
+/// The store is the only copy of the derived data: a relation's records
+/// keep just their id, name and raw values. A row-of-structs layout (each
+/// record owning its own heap-allocated Spectrum) would make every scan and
+/// join chase a pointer per record; the FeatureStore lays the data out as
+/// flat double arrays instead:
 ///
 ///   spectra_  : one row per record, the full normal-form unitary DFT as
 ///               interleaved (re, im) pairs, rows padded to a 64-byte
@@ -47,9 +48,20 @@ class FeatureStore {
  public:
   FeatureStore() = default;
 
-  // Appends one record's derived data. Every append after the first must
+  // Appends one record's derived data. Every row after the first must
   // have the same spectrum/series length.
   void Append(const SeriesFeatures& features,
+              const std::vector<double>& normal_values);
+
+  // Grows the store by `rows` zeroed rows in one allocation per column and
+  // returns the index of the first. Bulk loads size the store this way and
+  // then fill the rows with SetRow, which may run concurrently for
+  // distinct rows: a row's slots are disjoint from every other row's.
+  // `spectrum_length` and `series_length` must match earlier rows.
+  int64_t AddRows(int64_t rows, int spectrum_length, int series_length);
+  // Writes one record's derived data into row `row` (< size()); the
+  // lengths must match the store's.
+  void SetRow(int64_t row, const SeriesFeatures& features,
               const std::vector<double>& normal_values);
 
   int64_t size() const { return count_; }
@@ -98,6 +110,11 @@ class FeatureStore {
 // Lays out a complex spectrum as interleaved (re, im) doubles, the query-
 // and multiplier-side format of the kernels below.
 std::vector<double> InterleaveSpectrum(const Spectrum& spectrum);
+
+// Coefficients X1..Xk of an interleaved spectrum row of n coefficients:
+// ExtractCoefficients over the row, without rebuilding its Spectrum.
+std::vector<Complex> RowCoefficients(const double* row, int n,
+                                     int num_coefficients);
 
 // All kernels: `n` is the number of complex coefficients; `limit_sq` is the
 // squared early-abandon threshold (pass +infinity to disable). They return

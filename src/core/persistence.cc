@@ -109,36 +109,6 @@ class BufferReader {
   size_t pos_ = 0;
 };
 
-// The SIMQDB2+ per-relation summary block: min/max of the records' means
-// and standard deviations. Derived bit-for-bit from the stored features,
-// so the loader can recompute and compare exactly.
-struct StatsSummary {
-  double mean_min = 0.0;
-  double mean_max = 0.0;
-  double std_min = 0.0;
-  double std_max = 0.0;
-};
-
-StatsSummary SummarizeRelation(const Relation& relation) {
-  StatsSummary stats;
-  bool first = true;
-  for (const Record& record : relation.records()) {
-    const double mean = record.features.mean;
-    const double std_dev = record.features.std_dev;
-    if (first) {
-      stats.mean_min = stats.mean_max = mean;
-      stats.std_min = stats.std_max = std_dev;
-      first = false;
-    } else {
-      stats.mean_min = std::min(stats.mean_min, mean);
-      stats.mean_max = std::max(stats.mean_max, mean);
-      stats.std_min = std::min(stats.std_min, std_dev);
-      stats.std_max = std::max(stats.std_max, std_dev);
-    }
-  }
-  return stats;
-}
-
 // Serializes one relation in the version's per-relation layout (ids and
 // stats from version 2 on).
 void AppendRelationBlock(const std::string& name, const Relation& relation,
@@ -488,6 +458,25 @@ Result<Database> LoadDatabase(const std::string& path) {
                               "section");
   }
   return db;
+}
+
+StatsSummary SummarizeRelation(const Relation& relation) {
+  StatsSummary stats;
+  const ShardedRelation& data = relation.sharded();
+  for (int64_t id = 0; id < relation.size(); ++id) {
+    const double mean = data.mean(id);
+    const double std_dev = data.std_dev(id);
+    if (id == 0) {
+      stats.mean_min = stats.mean_max = mean;
+      stats.std_min = stats.std_max = std_dev;
+    } else {
+      stats.mean_min = std::min(stats.mean_min, mean);
+      stats.mean_max = std::max(stats.mean_max, mean);
+      stats.std_min = std::min(stats.std_min, std_dev);
+      stats.std_max = std::max(stats.std_max, std_dev);
+    }
+  }
+  return stats;
 }
 
 }  // namespace simq

@@ -80,6 +80,18 @@ Status SaveDatabase(const Database& db, const std::string& path,
 // via bulk load.
 Result<Database> LoadDatabase(const std::string& path);
 
+// The SIMQDB2+ per-relation summary block: min/max of the records' means
+// and standard deviations, folded in id order over the relation's store.
+// The loader recomputes it after the bulk load and compares the bytes.
+struct StatsSummary {
+  double mean_min = 0.0;
+  double mean_max = 0.0;
+  double std_min = 0.0;
+  double std_max = 0.0;
+};
+
+StatsSummary SummarizeRelation(const Relation& relation);
+
 }  // namespace simq
 
 #endif  // SIMQ_CORE_PERSISTENCE_H_

@@ -4,11 +4,37 @@
 #include <utility>
 
 #include "geom/rect.h"
+#include "ts/transforms.h"
 #include "util/env.h"
 #include "util/failpoint.h"
 #include "util/thread_pool.h"
 
 namespace simq {
+namespace {
+
+// Rows per block of the bulk load's derivation fan-out. Deriving a row
+// (normal form, DFT, feature point) costs microseconds, so a block of 256
+// rows amortizes the scheduling of a pool task many times over.
+constexpr int64_t kDeriveGrain = 256;
+
+// One record's derived data, each part computed once: the normal form,
+// the statistics and DFT of that normal form, and the index point.
+struct DerivedRow {
+  NormalFormResult normal;
+  SeriesFeatures features;
+  std::vector<double> point;
+};
+
+DerivedRow DeriveRow(const std::vector<double>& raw,
+                     const FeatureConfig& config) {
+  DerivedRow row;
+  row.normal = ToNormalForm(raw);
+  row.features = FeaturesOfNormalForm(row.normal);
+  row.point = MakeFeaturePoint(row.features, config);
+  return row;
+}
+
+}  // namespace
 
 ShardingOptions ShardingOptions::FromEnv() {
   ShardingOptions options;
@@ -27,14 +53,17 @@ const QuantizedCodes* RelationShard::quantized_codes_if_fresh(
   return quantized_.Peek(bits);
 }
 
-ShardedRelation::ShardedRelation(int dims,
+ShardedRelation::ShardedRelation(const FeatureConfig& config,
                                  const RTree::Options& index_options,
                                  const ShardingOptions& options)
-    : dims_(dims), index_options_(index_options), options_(options) {
+    : config_(config),
+      dims_(FeatureDimension(config)),
+      index_options_(index_options),
+      options_(options) {
   options_.num_shards = std::max(1, options_.num_shards);
   shards_.reserve(static_cast<size_t>(options_.num_shards));
   for (int s = 0; s < options_.num_shards; ++s) {
-    shards_.push_back(std::make_unique<RelationShard>(dims, index_options));
+    shards_.push_back(std::make_unique<RelationShard>(dims_, index_options));
   }
 }
 
@@ -98,9 +127,8 @@ int ShardedRelation::RouteNext() const {
   return target;
 }
 
-void ShardedRelation::Append(const SeriesFeatures& features,
-                             const std::vector<double>& normal_values,
-                             const std::vector<double>& point) {
+void ShardedRelation::Append(const std::vector<double>& raw) {
+  const DerivedRow row = DeriveRow(raw, config_);
   const int64_t global = size();
   const int target = RouteNext();
   RelationShard& shard = *shards_[static_cast<size_t>(target)];
@@ -108,9 +136,10 @@ void ShardedRelation::Append(const SeriesFeatures& features,
   local_of_.push_back(shard.size());
   shard.global_ids_.push_back(global);
   shard.alive_.push_back(1);
-  shard.points_.insert(shard.points_.end(), point.begin(), point.end());
-  shard.store_.Append(features, normal_values);
-  shard.index_->InsertPoint(point, global);
+  shard.points_.insert(shard.points_.end(), row.point.begin(),
+                       row.point.end());
+  shard.store_.Append(row.features, row.normal.values);
+  shard.index_->InsertPoint(row.point, global);
   if (!delta_enabled_) {
     shard.packed_.Invalidate();
     shard.quantized_.Invalidate();
@@ -137,8 +166,9 @@ bool ShardedRelation::Delete(int64_t g) {
   return true;
 }
 
-void ShardedRelation::BulkLoad(int64_t count, const LoadFn& load_row) {
-  if (count <= 0) {
+void ShardedRelation::BulkLoad(const std::vector<TimeSeries>& batch) {
+  const int64_t count = static_cast<int64_t>(batch.size());
+  if (count == 0) {
     return;
   }
   const int64_t base = size();
@@ -162,13 +192,22 @@ void ShardedRelation::BulkLoad(int64_t count, const LoadFn& load_row) {
     }
   }
 
-  // Locator entries are written up front (they depend only on the
-  // partition, not on the shard builds).
+  // Locator entries and every shard's store and point rows are laid out
+  // up front -- they depend only on the partition -- so each row below
+  // has its own slots to write.
   shard_of_.resize(static_cast<size_t>(base + count));
   local_of_.resize(static_cast<size_t>(base + count));
+  const int n = batch.front().length();
   for (int s = 0; s < num; ++s) {
-    const int64_t existing = shards_[static_cast<size_t>(s)]->size();
+    RelationShard& shard = *shards_[static_cast<size_t>(s)];
     const std::vector<int64_t>& ids = shard_ids[static_cast<size_t>(s)];
+    if (ids.empty()) {
+      continue;
+    }
+    const int64_t existing =
+        shard.store_.AddRows(static_cast<int64_t>(ids.size()), n, n);
+    shard.points_.resize(shard.points_.size() +
+                         ids.size() * static_cast<size_t>(dims_));
     for (size_t i = 0; i < ids.size(); ++i) {
       shard_of_[static_cast<size_t>(ids[i])] = s;
       local_of_[static_cast<size_t>(ids[i])] =
@@ -176,11 +215,29 @@ void ShardedRelation::BulkLoad(int64_t count, const LoadFn& load_row) {
     }
   }
 
-  // Build every shard in parallel: derived-data computation, store fill,
-  // and the STR tree build all run inside the shard task, so the load
-  // scales with min(num_shards, pool threads). Each task touches only its
-  // own shard (and, via load_row, only its own records), so the result is
-  // deterministic and identical to a serial build.
+  // Derive every row once, in parallel over the whole batch: its normal
+  // form, that normal form's DFT and statistics, and its index point go
+  // straight into the row's own store and point slots. Each row is a pure
+  // function of its raw values and writes only its own slots, so the
+  // result is identical to a serial Append of each row, for any thread
+  // count and any shard count.
+  ThreadPool::Global().ParallelFor(
+      0, count, kDeriveGrain, [&](int64_t /*block*/, int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) {
+          const int64_t g = base + i;
+          RelationShard& shard = *shards_[static_cast<size_t>(shard_of(g))];
+          const int64_t local = local_of(g);
+          const DerivedRow row =
+              DeriveRow(batch[static_cast<size_t>(i)].values, config_);
+          shard.store_.SetRow(local, row.features, row.normal.values);
+          std::copy(row.point.begin(), row.point.end(),
+                    shard.points_.begin() + local * dims_);
+        }
+      });
+
+  // Per shard, the serial remainder: ids, aliveness, and the STR build
+  // over the freshly written points. Shards build concurrently; each task
+  // touches only its own shard.
   ThreadPool::Global().ParallelFor(
       0, num, /*min_grain=*/1, [&](int64_t /*block*/, int64_t lo, int64_t hi) {
         for (int64_t s = lo; s < hi; ++s) {
@@ -190,18 +247,19 @@ void ShardedRelation::BulkLoad(int64_t count, const LoadFn& load_row) {
           if (ids.empty()) {
             continue;
           }
+          const int64_t first = shard.size();
+          shard.global_ids_.insert(shard.global_ids_.end(), ids.begin(),
+                                   ids.end());
+          shard.alive_.resize(shard.alive_.size() + ids.size(), 1);
           std::vector<std::pair<Rect, int64_t>> entries;
           entries.reserve(ids.size());
-          shard.global_ids_.reserve(shard.global_ids_.size() + ids.size());
-          for (const int64_t g : ids) {
-            const RowData row = load_row(g);
-            SIMQ_CHECK(row.features != nullptr && row.normal_values != nullptr);
-            shard.global_ids_.push_back(g);
-            shard.alive_.push_back(1);
-            shard.points_.insert(shard.points_.end(), row.point.begin(),
-                                 row.point.end());
-            shard.store_.Append(*row.features, *row.normal_values);
-            entries.emplace_back(Rect::FromPoint(row.point), g);
+          for (size_t i = 0; i < ids.size(); ++i) {
+            const double* point =
+                shard.points_.data() +
+                (first + static_cast<int64_t>(i)) * dims_;
+            entries.emplace_back(
+                Rect::FromPoint(std::vector<double>(point, point + dims_)),
+                ids[i]);
           }
           shard.index_->BulkLoad(std::move(entries));
           // A bulk load replaces the shard tree wholesale, so the compiled

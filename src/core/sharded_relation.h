@@ -52,7 +52,6 @@
 #define SIMQ_CORE_SHARDED_RELATION_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -61,6 +60,7 @@
 #include "index/packed_rtree.h"
 #include "index/rtree.h"
 #include "ts/feature.h"
+#include "ts/time_series.h"
 #include "util/logging.h"
 #include "util/status.h"
 
@@ -145,6 +145,10 @@ class RelationShard {
   const QuantizedCodes* quantized_codes_if_fresh(int bits) const;
 
   int64_t size() const { return static_cast<int64_t>(global_ids_.size()); }
+  /// Index point of local row `local`: index().dims() doubles.
+  const double* point(int64_t local) const {
+    return points_.data() + local * index_->dims();
+  }
   int64_t global_id(int64_t local) const {
     return global_ids_[static_cast<size_t>(local)];
   }
@@ -188,20 +192,10 @@ class RelationShard {
 
 class ShardedRelation {
  public:
-  /// Derived data of one record, handed to BulkLoad's per-record callback.
-  /// The pointers must stay valid until BulkLoad returns (they normally
-  /// point into the caller's Record).
-  struct RowData {
-    const SeriesFeatures* features = nullptr;
-    const std::vector<double>* normal_values = nullptr;
-    std::vector<double> point;  // feature point for the shard index
-  };
-  /// Computes one record's derived data. BulkLoad invokes it from
-  /// concurrent shard tasks, each global id exactly once; the callback
-  /// must only touch state owned by that id (it may write records_[id]).
-  using LoadFn = std::function<RowData(int64_t global_id)>;
-
-  ShardedRelation(int dims, const RTree::Options& index_options,
+  /// `config` fixes how a record's raw values map to its index point
+  /// (and so the index dimensionality).
+  ShardedRelation(const FeatureConfig& config,
+                  const RTree::Options& index_options,
                   const ShardingOptions& options);
 
   ShardedRelation(const ShardedRelation&) = delete;
@@ -264,24 +258,26 @@ class ShardedRelation {
     return s.store().std_dev(local_of(g));
   }
 
-  /// Routes one new record (global id == size()) to its shard: appends to
-  /// the shard store, inserts the feature point into the shard tree under
-  /// the global id, and bumps that shard's epoch. With the delta layer
-  /// enabled the shard's compiled artifacts stay valid (the new row is
-  /// their delta); otherwise they are invalidated. Caller holds exclusive
-  /// access.
-  void Append(const SeriesFeatures& features,
-              const std::vector<double>& normal_values,
-              const std::vector<double>& point);
-
-  /// Parallel per-shard bulk load of `count` records with global ids
-  /// [size(), size() + count). Partitions the ids per the configured
-  /// policy, then builds every shard concurrently (ThreadPool::Global()):
-  /// each shard task computes its records' derived data via `load_row`,
-  /// fills the shard store in ascending global-id order, and STR
-  /// bulk-loads the shard tree. Each loaded shard's epoch is bumped once.
+  /// Routes one new record (global id == size()) to its shard: derives
+  /// its normal form, spectrum and feature point from `raw` (the normal
+  /// form once), appends them to the shard store, inserts the point into
+  /// the shard tree under the global id, and bumps that shard's epoch.
+  /// With the delta layer enabled the shard's compiled artifacts stay
+  /// valid (the new row is their delta); otherwise they are invalidated.
   /// Caller holds exclusive access.
-  void BulkLoad(int64_t count, const LoadFn& load_row);
+  void Append(const std::vector<double>& raw);
+
+  /// Bulk load of `batch` as global ids [size(), size() + batch.size()),
+  /// every series of one length. Partitions the ids per the configured
+  /// policy and sizes each shard's store for its share once; one
+  /// ParallelFor over the batch's rows (ThreadPool::Global()) then derives
+  /// each row once and writes it straight into its store and point slots;
+  /// last, per shard and concurrently across shards, the ids and
+  /// aliveness flags are filled and the shard tree is STR bulk-loaded.
+  /// The result equals a serial Append of every row into its shard's
+  /// store followed by the same STR build. Each loaded shard's epoch is
+  /// bumped once. Caller holds exclusive access.
+  void BulkLoad(const std::vector<TimeSeries>& batch);
 
   /// Tombstones global id `g` (false when it is already dead): marks the
   /// row dead, bumps the owning shard's epoch, and -- with the delta
@@ -310,6 +306,7 @@ class ShardedRelation {
   /// Shard that receives the next incremental append.
   int RouteNext() const;
 
+  FeatureConfig config_;          // raw values -> index point
   int dims_;
   RTree::Options index_options_;  // for recompaction's fresh trees
   ShardingOptions options_;

@@ -600,6 +600,9 @@ Status QueryService::Delete(const std::string& relation, int64_t id) {
 Status QueryService::BulkLoad(const std::string& relation,
                               const std::vector<TimeSeries>& series) {
   std::unique_lock<std::shared_mutex> lock(data_mutex_);
+  // The flight recorder's `ms`: the load and its WAL append, not the wait
+  // for the lock.
+  Stopwatch watch;
   Status status = WalGate();
   if (status.ok()) {
     status = db_.BulkLoad(relation, series);
@@ -607,6 +610,7 @@ Status QueryService::BulkLoad(const std::string& relation,
   if (status.ok() && wal_.is_open()) {
     status = FinishAppend(wal_.AppendBulkLoad(relation, series));
   }
+  const double elapsed_ms = watch.ElapsedMillis();
   if (status.ok()) {
     RefreshDeltaGauges();
     lock.unlock();
@@ -614,8 +618,10 @@ Status QueryService::BulkLoad(const std::string& relation,
     metrics_.mutations->Add();
     if (options_.flight_recorder != nullptr) {
       options_.flight_recorder->Recordf(
-          "mutation", "\"op\":\"bulk_load\",\"relation\":\"%s\",\"rows\":%zu",
-          FlightSafe(relation).c_str(), series.size());
+          "mutation",
+          "\"op\":\"bulk_load\",\"relation\":\"%s\",\"rows\":%zu,"
+          "\"ms\":%.3f",
+          FlightSafe(relation).c_str(), series.size(), elapsed_ms);
     }
   }
   return status;
@@ -729,6 +735,7 @@ Status QueryService::Checkpoint() {
         "checkpointing requires ServiceOptions::snapshot_path");
   }
   std::unique_lock<std::shared_mutex> lock(data_mutex_);
+  Stopwatch watch;  // the flight recorder's `ms`: save and truncate
   // Snapshot first, truncate second: a crash between the two leaves the
   // snapshot plus a WAL whose replay re-applies already-snapshotted
   // mutations' successors -- never a gap. (The WAL is only truncated
@@ -737,11 +744,13 @@ Status QueryService::Checkpoint() {
   if (status.ok() && wal_.is_open()) {
     status = wal_.Truncate();
   }
+  const double elapsed_ms = watch.ElapsedMillis();
   if (status.ok()) {
     lock.unlock();
     metrics_.checkpoints->Add();
     if (options_.flight_recorder != nullptr) {
-      options_.flight_recorder->Record("checkpoint", "");
+      options_.flight_recorder->Recordf("checkpoint", "\"ms\":%.3f",
+                                        elapsed_ms);
     }
   }
   return status;

@@ -26,8 +26,12 @@ std::vector<bool> AngleDimensions(const FeatureConfig& config) {
 
 SeriesFeatures ComputeFeatures(const std::vector<double>& series) {
   SIMQ_CHECK(!series.empty());
+  return FeaturesOfNormalForm(ToNormalForm(series));
+}
+
+SeriesFeatures FeaturesOfNormalForm(const NormalFormResult& normal) {
+  SIMQ_CHECK(!normal.values.empty());
   SeriesFeatures features;
-  const NormalFormResult normal = ToNormalForm(series);
   features.mean = normal.mean;
   features.std_dev = normal.std_dev;
   features.normal_spectrum = Dft(normal.values);

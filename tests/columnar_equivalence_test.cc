@@ -190,7 +190,7 @@ TEST(ColumnarEquivalenceTest, JoinMethodsAgreeOnStockWorkload) {
   std::vector<std::vector<double>> smoothed;
   smoothed.reserve(static_cast<size_t>(relation->size()));
   for (const Record& record : relation->records()) {
-    smoothed.push_back(mavg->Apply(record.normal_values));
+    smoothed.push_back(mavg->Apply(ToNormalForm(record.raw).values));
   }
   std::vector<double> pair_distances;
   for (size_t i = 0; i < smoothed.size(); ++i) {
@@ -253,8 +253,8 @@ TEST(ColumnarEquivalenceTest, AsymmetricJoinAgreesAcrossMethods) {
         continue;
       }
       pair_distances.push_back(EuclideanDistance(
-          relation->record(i).normal_values,
-          reverse->Apply(relation->record(j).normal_values)));
+          ToNormalForm(relation->record(i).raw).values,
+          reverse->Apply(ToNormalForm(relation->record(j).raw).values)));
     }
   }
   const double epsilon = MidpointEpsilon(pair_distances, 8);
@@ -270,8 +270,8 @@ TEST(ColumnarEquivalenceTest, AsymmetricJoinAgreesAcrossMethods) {
 }
 
 TEST(ColumnarEquivalenceTest, StoreMirrorsRecordData) {
-  // The SoA store must hold exactly the spectra/statistics of the records
-  // it mirrors, including after incremental inserts.
+  // The SoA store must hold exactly the spectra/statistics derived from
+  // the records' raw values, including after incremental inserts.
   const std::vector<TimeSeries> series = workload::RandomWalkSeries(50, 33, 3);
   Database db;
   ASSERT_TRUE(db.CreateRelation("r").ok());
@@ -283,21 +283,21 @@ TEST(ColumnarEquivalenceTest, StoreMirrorsRecordData) {
   ASSERT_EQ(store.size(), relation->size());
   ASSERT_EQ(store.spectrum_length(), 33);
   for (int64_t i = 0; i < relation->size(); ++i) {
-    const Record& record = relation->record(i);
-    EXPECT_EQ(store.mean(i), record.features.mean);
-    EXPECT_EQ(store.std_dev(i), record.features.std_dev);
+    const std::vector<double>& raw = relation->record(i).raw;
+    const SeriesFeatures features = ComputeFeatures(raw);
+    const std::vector<double> normal_values = ToNormalForm(raw).values;
+    EXPECT_EQ(store.mean(i), features.mean);
+    EXPECT_EQ(store.std_dev(i), features.std_dev);
     const double* row = store.SpectrumRow(i);
     for (int f = 0; f < store.spectrum_length(); ++f) {
       EXPECT_EQ(row[2 * f],
-                record.features.normal_spectrum[static_cast<size_t>(f)]
-                    .real());
+                features.normal_spectrum[static_cast<size_t>(f)].real());
       EXPECT_EQ(row[2 * f + 1],
-                record.features.normal_spectrum[static_cast<size_t>(f)]
-                    .imag());
+                features.normal_spectrum[static_cast<size_t>(f)].imag());
     }
     const double* normal = store.NormalRow(i);
     for (int t = 0; t < store.series_length(); ++t) {
-      EXPECT_EQ(normal[t], record.normal_values[static_cast<size_t>(t)]);
+      EXPECT_EQ(normal[t], normal_values[static_cast<size_t>(t)]);
     }
   }
 }

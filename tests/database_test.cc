@@ -419,10 +419,11 @@ TEST(DatabaseTest, PatternMeanStdFilters) {
 
   const Relation* relation = db.GetRelation("r");
   for (const Match& match : via_index.value().matches) {
-    const Record& record = relation->record(match.id);
-    EXPECT_GE(record.features.mean, 40.0);
-    EXPECT_LE(record.features.mean, 70.0);
-    EXPECT_LE(record.features.std_dev, 8.0);
+    const SeriesFeatures features =
+        ComputeFeatures(relation->record(match.id).raw);
+    EXPECT_GE(features.mean, 40.0);
+    EXPECT_LE(features.mean, 70.0);
+    EXPECT_LE(features.std_dev, 8.0);
   }
 }
 

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -294,6 +295,46 @@ TEST(FlightRecorderServiceTest, MutationsAndQueriesLandInTheRing) {
   for (const std::string& line : SplitLines(dump)) {
     EXPECT_TRUE(IsCompleteJsonObject(line)) << line;
   }
+}
+
+// The `ms` value of an event line, or -1 when the line has none.
+double EventMs(const std::string& line) {
+  const size_t at = line.find("\"ms\":");
+  if (at == std::string::npos) {
+    return -1.0;
+  }
+  return std::strtod(line.c_str() + at + 5, nullptr);
+}
+
+TEST(FlightRecorderServiceTest, BulkLoadAndCheckpointCarryTheirCost) {
+  obs::FlightRecorder flight(256);
+  ServiceOptions options;
+  options.flight_recorder = &flight;
+  options.snapshot_path = ::testing::TempDir() + "/flight_cost_" +
+                          std::to_string(::getpid()) + ".simqdb";
+  QueryService service(Database(), options);
+  ASSERT_TRUE(service.CreateRelation("r").ok());
+  ASSERT_TRUE(
+      service.BulkLoad("r", workload::RandomWalkSeries(300, 64, 9)).ok());
+  ASSERT_TRUE(service.Checkpoint().ok());
+  std::remove(options.snapshot_path.c_str());
+
+  int bulk_loads = 0;
+  int checkpoints = 0;
+  for (const std::string& line : SplitLines(flight.DumpJsonl())) {
+    EXPECT_TRUE(IsCompleteJsonObject(line)) << line;
+    if (line.find("\"op\":\"bulk_load\"") != std::string::npos) {
+      ++bulk_loads;
+      EXPECT_NE(line.find("\"rows\":300,"), std::string::npos) << line;
+      EXPECT_GE(EventMs(line), 0.0) << line;
+    }
+    if (line.find("\"ev\":\"checkpoint\"") != std::string::npos) {
+      ++checkpoints;
+      EXPECT_GE(EventMs(line), 0.0) << line;
+    }
+  }
+  EXPECT_EQ(bulk_loads, 1);
+  EXPECT_EQ(checkpoints, 1);
 }
 
 // --- stall watchdog ---

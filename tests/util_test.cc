@@ -1,9 +1,12 @@
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/crc32.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -11,6 +14,70 @@
 
 namespace simq {
 namespace {
+
+// The bytewise table CRC the on-disk formats were written with: the
+// reference every faster Crc32 must reproduce exactly.
+uint32_t BytewiseCrc32(const unsigned char* bytes, size_t size,
+                       uint32_t seed) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+    table[i] = crc;
+  }
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xFFu];
+  }
+  return ~crc;
+}
+
+std::vector<unsigned char> RandomBytes(size_t size, uint64_t seed) {
+  Random rng(seed);
+  std::vector<unsigned char> bytes(size);
+  for (unsigned char& b : bytes) {
+    b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, CheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseAtEveryLengthAndAlignment) {
+  const std::vector<unsigned char> bytes = RandomBytes(96, 11);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 67; ++length) {
+      const unsigned char* start = bytes.data() + offset;
+      EXPECT_EQ(Crc32(start, length), BytewiseCrc32(start, length, 0))
+          << "offset " << offset << " length " << length;
+      EXPECT_EQ(Crc32(start, length, 0x9E3779B9u),
+                BytewiseCrc32(start, length, 0x9E3779B9u))
+          << "seeded, offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedSeedsEqualTheConcatenation) {
+  const std::vector<unsigned char> bytes = RandomBytes(200, 12);
+  const uint32_t whole = Crc32(bytes.data(), bytes.size());
+  for (size_t split = 0; split <= bytes.size(); split += 7) {
+    const uint32_t head = Crc32(bytes.data(), split);
+    EXPECT_EQ(Crc32(bytes.data() + split, bytes.size() - split, head), whole)
+        << "split " << split;
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseOnAMultiMegabyteBuffer) {
+  const std::vector<unsigned char> bytes = RandomBytes((3 << 20) + 5, 13);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()),
+            BytewiseCrc32(bytes.data(), bytes.size(), 0));
+}
 
 TEST(StatusTest, DefaultIsOk) {
   Status status;
