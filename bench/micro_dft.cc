@@ -1,5 +1,7 @@
-// Microbenchmarks of the DFT substrate: radix-2 FFT, Bluestein (arbitrary
-// length), and the naive reference.
+// Microbenchmarks of the DFT substrate: the planned radix-2 FFT of a
+// complex signal, the real-input path (a half-length complex FFT plus a
+// split step, written into a caller's row as a bulk load does), Bluestein
+// (arbitrary length), and the naive reference.
 
 #include <benchmark/benchmark.h>
 
@@ -18,14 +20,36 @@ std::vector<double> MakeSignal(int n) {
   return x;
 }
 
+Spectrum ToComplex(const std::vector<double>& x) {
+  Spectrum out(x.size());
+  for (size_t i = 0; i < x.size(); ++i) {
+    out[i] = Complex(x[i], 0.0);
+  }
+  return out;
+}
+
 void BM_DftPowerOfTwo(benchmark::State& state) {
-  const std::vector<double> x = MakeSignal(static_cast<int>(state.range(0)));
+  const Spectrum x = ToComplex(MakeSignal(static_cast<int>(state.range(0))));
   for (auto _ : state) {
     benchmark::DoNotOptimize(Dft(x));
   }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_DftPowerOfTwo)->RangeMultiplier(2)->Range(64, 4096)->Complexity();
+
+// The bulk-load shape: a real series transformed straight into a
+// preallocated interleaved row (128 points is perfbench's row length).
+void BM_RealDft(benchmark::State& state) {
+  const std::vector<double> x = MakeSignal(static_cast<int>(state.range(0)));
+  std::vector<double> row(2 * x.size());
+  for (auto _ : state) {
+    RealDft(x.data(), x.size(), row.data());
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_RealDft)->RangeMultiplier(2)->Range(64, 4096)->Complexity();
 
 void BM_DftBluestein(benchmark::State& state) {
   // Odd lengths force the chirp-z path.
@@ -39,10 +63,7 @@ BENCHMARK(BM_DftBluestein)->RangeMultiplier(2)->Range(64, 4096);
 
 void BM_NaiveDft(benchmark::State& state) {
   const std::vector<double> x = MakeSignal(static_cast<int>(state.range(0)));
-  Spectrum input(x.size());
-  for (size_t i = 0; i < x.size(); ++i) {
-    input[i] = Complex(x[i], 0.0);
-  }
+  const Spectrum input = ToComplex(x);
   for (auto _ : state) {
     benchmark::DoNotOptimize(NaiveDft(input));
   }

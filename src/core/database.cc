@@ -76,6 +76,19 @@ std::optional<Spectrum> MaterializeMultiplier(const TransformationRule* rule,
   return multiplier;
 }
 
+// Squared early-abandon limit for a check that accepts a row when its
+// distance, sqrt(dist_sq), is <= threshold. A correctly rounded sqrt can
+// equal the threshold while dist_sq exceeds threshold * threshold by an
+// ulp or two, so the limit sits a relative 2^-49 above the square: a row
+// at exactly the threshold is never abandoned, and since the final
+// compare decides, abandoning a little later changes no answer.
+double AbandonLimitSq(double threshold) {
+  return threshold == kInf
+             ? kInf
+             : threshold * threshold *
+                   (1.0 + 8.0 * std::numeric_limits<double>::epsilon());
+}
+
 // Exact frequency-domain distance between T(data) and the query spectrum,
 // early-abandoning once the partial sum exceeds threshold. `data` is an
 // interleaved store row of n coefficients, read in place; `multiplier` is
@@ -88,8 +101,7 @@ double FreqDistance(const double* data, int n, const Spectrum& query,
                         ? static_cast<int>(multiplier->size())
                         : n;
   SIMQ_CHECK_EQ(static_cast<int>(query.size()), out_n);
-  const double limit =
-      threshold == kInf ? kInf : threshold * threshold;
+  const double limit = AbandonLimitSq(threshold);
   double sum = 0.0;
   for (int f = 0; f < out_n; ++f) {
     const int k = f % n;
@@ -151,8 +163,7 @@ class ExactChecker {
   // distance of interest (kInf disables abandoning).
   double Distance(int64_t id, double threshold) const {
     if (columnar_) {
-      const double limit_sq =
-          threshold == kInf ? kInf : threshold * threshold;
+      const double limit_sq = AbandonLimitSq(threshold);
       const double* mult_ptr = mult_ri();
       const double dist_sq =
           mult_ptr != nullptr
@@ -1178,7 +1189,7 @@ Result<QueryResult> Database::ExecuteRange(const Relation& relation,
     // the shard's packed prefix column (32 sequential bytes per record)
     // and touch the full strided row only for survivors.
     const bool screen = columnar && abandon && threshold != kInf && n >= 2;
-    const double limit_sq = threshold * threshold;
+    const double limit_sq = AbandonLimitSq(threshold);
     double q0 = 0.0, q1 = 0.0, q2 = 0.0, q3 = 0.0;
     const double* mult_ri_ptr = nullptr;
     if (screen) {

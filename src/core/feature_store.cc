@@ -1,5 +1,8 @@
 #include "core/feature_store.h"
 
+#include <algorithm>
+
+#include "ts/transforms.h"
 #include "util/logging.h"
 
 namespace simq {
@@ -10,13 +13,6 @@ namespace {
 int64_t PadStride(int64_t doubles) { return (doubles + 7) & ~int64_t{7}; }
 
 }  // namespace
-
-void FeatureStore::Append(const SeriesFeatures& features,
-                          const std::vector<double>& normal_values) {
-  SetRow(AddRows(1, features.length(),
-                 static_cast<int>(normal_values.size())),
-         features, normal_values);
-}
 
 int64_t FeatureStore::AddRows(int64_t rows, int spectrum_length,
                               int series_length) {
@@ -32,19 +28,19 @@ int64_t FeatureStore::AddRows(int64_t rows, int spectrum_length,
   const int64_t first = count_;
   count_ += rows;
   const size_t total = static_cast<size_t>(count_);
-  spectra_.resize(total * static_cast<size_t>(spectrum_stride_), 0.0);
-  normals_.resize(total * static_cast<size_t>(normal_stride_), 0.0);
-  prefixes_.resize(4 * total, 0.0);
-  means_.resize(total, 0.0);
-  stds_.resize(total, 0.0);
+  spectra_.resize(total * static_cast<size_t>(spectrum_stride_));
+  normals_.resize(total * static_cast<size_t>(normal_stride_));
+  prefixes_.resize(4 * total);
+  means_.resize(total);
+  stds_.resize(total);
   return first;
 }
 
-void FeatureStore::SetRow(int64_t row, const SeriesFeatures& features,
+void FeatureStore::Append(const SeriesFeatures& features,
                           const std::vector<double>& normal_values) {
   const int n = features.length();
-  SIMQ_CHECK_EQ(n, spectrum_length_);
-  SIMQ_CHECK_EQ(static_cast<int>(normal_values.size()), series_length_);
+  const int64_t row =
+      AddRows(1, n, static_cast<int>(normal_values.size()));
   double* spectrum_row =
       spectra_.data() + static_cast<size_t>(row * spectrum_stride_);
   for (int f = 0; f < n; ++f) {
@@ -52,18 +48,41 @@ void FeatureStore::SetRow(int64_t row, const SeriesFeatures& features,
     spectrum_row[2 * f] = c.real();
     spectrum_row[2 * f + 1] = c.imag();
   }
+  std::fill(spectrum_row + 2 * n, spectrum_row + spectrum_stride_, 0.0);
   double* normal_row =
       normals_.data() + static_cast<size_t>(row * normal_stride_);
-  for (int t = 0; t < series_length_; ++t) {
-    normal_row[t] = normal_values[static_cast<size_t>(t)];
-  }
+  std::copy(normal_values.begin(), normal_values.end(), normal_row);
+  std::fill(normal_row + series_length_, normal_row + normal_stride_, 0.0);
+  FinishRow(row, features.mean, features.std_dev);
+}
+
+void FeatureStore::DeriveRow(int64_t row, const double* raw) {
+  SIMQ_CHECK_EQ(spectrum_length_, series_length_);
+  const int n = series_length_;
+  double* normal_row =
+      normals_.data() + static_cast<size_t>(row * normal_stride_);
+  double mean = 0.0;
+  double std_dev = 0.0;
+  NormalFormInto(raw, static_cast<size_t>(n), normal_row, &mean, &std_dev);
+  std::fill(normal_row + n, normal_row + normal_stride_, 0.0);
+  double* spectrum_row =
+      spectra_.data() + static_cast<size_t>(row * spectrum_stride_);
+  RealDft(normal_row, static_cast<size_t>(n), spectrum_row);
+  std::fill(spectrum_row + 2 * n, spectrum_row + spectrum_stride_, 0.0);
+  FinishRow(row, mean, std_dev);
+}
+
+void FeatureStore::FinishRow(int64_t row, double mean, double std_dev) {
+  const int n = spectrum_length_;
+  const double* spectrum_row =
+      spectra_.data() + static_cast<size_t>(row * spectrum_stride_);
   double* prefix = prefixes_.data() + static_cast<size_t>(4 * row);
   prefix[0] = spectrum_row[0];
   prefix[1] = n >= 1 ? spectrum_row[1] : 0.0;
   prefix[2] = n >= 2 ? spectrum_row[2] : 0.0;
   prefix[3] = n >= 2 ? spectrum_row[3] : 0.0;
-  means_[static_cast<size_t>(row)] = features.mean;
-  stds_[static_cast<size_t>(row)] = features.std_dev;
+  means_[static_cast<size_t>(row)] = mean;
+  stds_[static_cast<size_t>(row)] = std_dev;
 }
 
 std::vector<double> InterleaveSpectrum(const Spectrum& spectrum) {

@@ -37,6 +37,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "ts/dft.h"
@@ -48,21 +50,26 @@ class FeatureStore {
  public:
   FeatureStore() = default;
 
-  // Appends one record's derived data. Every row after the first must
-  // have the same spectrum/series length.
+  // Appends one record's already derived data, padding lanes zeroed.
+  // Every row after the first must have the same spectrum/series length.
   void Append(const SeriesFeatures& features,
               const std::vector<double>& normal_values);
 
-  // Grows the store by `rows` zeroed rows in one allocation per column and
-  // returns the index of the first. Bulk loads size the store this way and
-  // then fill the rows with SetRow, which may run concurrently for
-  // distinct rows: a row's slots are disjoint from every other row's.
-  // `spectrum_length` and `series_length` must match earlier rows.
+  // Grows the store by `rows` rows in one allocation per column and
+  // returns the index of the first. The new rows are not initialised:
+  // each must be written by DeriveRow before it is read. Bulk loads size
+  // the store this way and then derive the rows, which may run
+  // concurrently for distinct rows: a row's slots are disjoint from every
+  // other row's. `spectrum_length` and `series_length` must match earlier
+  // rows.
   int64_t AddRows(int64_t rows, int spectrum_length, int series_length);
-  // Writes one record's derived data into row `row` (< size()); the
-  // lengths must match the store's.
-  void SetRow(int64_t row, const SeriesFeatures& features,
-              const std::vector<double>& normal_values);
+  // Derives row `row` (< size()) from its raw series of series_length()
+  // values: the normal form is written straight into the row's normal
+  // slots and its spectrum (RealDft) straight into its spectrum slots,
+  // padding lanes zeroed. The same bits as Append(ComputeFeatures(raw),
+  // ToNormalForm(raw).values), with no allocation. Requires
+  // spectrum_length() == series_length().
+  void DeriveRow(int64_t row, const double* raw);
 
   int64_t size() const { return count_; }
   // Number of complex coefficients per spectrum row (the series length n).
@@ -98,13 +105,39 @@ class FeatureStore {
   int64_t count_ = 0;
   int spectrum_length_ = 0;
   int series_length_ = 0;
+  // std::allocator whose value-initialising construct() default-
+  // initialises instead, so AddRows grows a column without zero-filling
+  // it on the loading thread; the rows' writers touch each page first.
+  template <typename T>
+  struct UninitializedAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = UninitializedAllocator<U>;
+    };
+    UninitializedAllocator() = default;
+    template <typename U>
+    UninitializedAllocator(const UninitializedAllocator<U>&) noexcept {}
+    template <typename U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+  using Column = std::vector<double, UninitializedAllocator<double>>;
+
+  // Writes the row's prefix, mean and std from its spectrum row.
+  void FinishRow(int64_t row, double mean, double std_dev);
+
   int64_t spectrum_stride_ = 0;  // doubles per spectrum row (padded)
   int64_t normal_stride_ = 0;    // doubles per normal-form row (padded)
-  std::vector<double> spectra_;
-  std::vector<double> normals_;
-  std::vector<double> prefixes_;
-  std::vector<double> means_;
-  std::vector<double> stds_;
+  Column spectra_;
+  Column normals_;
+  Column prefixes_;
+  Column means_;
+  Column stds_;
 };
 
 // Lays out a complex spectrum as interleaved (re, im) doubles, the query-

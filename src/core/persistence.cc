@@ -1,6 +1,7 @@
 #include "core/persistence.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -13,6 +14,7 @@
 
 #include "util/crc32.h"
 #include "util/failpoint.h"
+#include "util/logging.h"
 
 namespace simq {
 namespace {
@@ -25,12 +27,23 @@ constexpr size_t kMagicLength = 8;
 
 // Serializes into an in-memory buffer. The whole snapshot is built in
 // memory first so it can be written to disk atomically; databases are
-// memory-resident anyway, so the transient copy is acceptable.
+// memory-resident anyway, so the transient copy is acceptable. A writer
+// built with no buffer stores nothing and only counts the bytes it is
+// given, so a dry run of the same serializer sizes the real buffer
+// exactly and the real run writes each byte once, in place.
 class BufferWriter {
  public:
+  BufferWriter() = default;
+  BufferWriter(char* out, size_t capacity) : out_(out), capacity_(capacity) {}
+
+  size_t size() const { return size_; }
+
   void Bytes(const void* data, size_t size) {
-    const char* bytes = static_cast<const char*>(data);
-    buffer_.append(bytes, size);
+    if (out_ != nullptr) {
+      SIMQ_CHECK_LE(size_ + size, capacity_);
+      std::memcpy(out_ + size_, data, size);
+    }
+    size_ += size;
   }
   void U8(uint8_t value) { Bytes(&value, sizeof(value)); }
   void I32(int32_t value) { Bytes(&value, sizeof(value)); }
@@ -45,10 +58,60 @@ class BufferWriter {
     Bytes(values.data(), values.size() * sizeof(double));
   }
 
-  const std::string& buffer() const { return buffer_; }
+  // Opens a [u32 length][u32 crc32][payload] section frame in place: the
+  // header is written as a placeholder and the payload follows it
+  // directly. Returns the frame's offset for EndSection.
+  size_t BeginSection() {
+    const size_t at = size_;
+    U32(0);
+    U32(0);
+    return at;
+  }
+  // Closes the frame opened at `at`: fills in the length and CRC of the
+  // payload written since, with no copy of it.
+  void EndSection(size_t at) {
+    if (out_ == nullptr) {
+      return;
+    }
+    const size_t payload = at + 2 * sizeof(uint32_t);
+    const uint32_t length = static_cast<uint32_t>(size_ - payload);
+    const uint32_t crc = Crc32(out_ + payload, length);
+    std::memcpy(out_ + at, &length, sizeof(length));
+    std::memcpy(out_ + at + sizeof(length), &crc, sizeof(crc));
+  }
 
  private:
-  std::string buffer_;
+  char* out_ = nullptr;
+  size_t capacity_ = 0;
+  size_t size_ = 0;
+};
+
+// Pages mapped for one snapshot and unmapped once it is written. A
+// multi-megabyte buffer from malloc would outlive the save as resident
+// heap: glibc raises its mmap threshold to the size of the last mapping it
+// freed, so the next save's buffer of that size comes from the heap and
+// stays resident after it is freed.
+class MappedBuffer {
+ public:
+  explicit MappedBuffer(size_t size) : size_(std::max<size_t>(size, 1)) {
+    void* pages = ::mmap(nullptr, size_, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    data_ = pages == MAP_FAILED ? nullptr : static_cast<char*>(pages);
+  }
+  ~MappedBuffer() {
+    if (data_ != nullptr) {
+      ::munmap(data_, size_);
+    }
+  }
+  MappedBuffer(const MappedBuffer&) = delete;
+  MappedBuffer& operator=(const MappedBuffer&) = delete;
+
+  // Null when the mapping failed.
+  char* data() const { return data_; }
+
+ private:
+  size_t size_;
+  char* data_ = nullptr;
 };
 
 // Parses a byte range with bounds checks: every count read from the bytes
@@ -223,13 +286,6 @@ Status ParseRelationBlock(BufferReader* reader, int version, Database* db) {
   return Status::Ok();
 }
 
-// Appends a [length][crc][payload] section frame to the file buffer.
-void AppendSection(const std::string& payload, BufferWriter* file) {
-  file->U32(static_cast<uint32_t>(payload.size()));
-  file->U32(Crc32(payload.data(), payload.size()));
-  file->Bytes(payload.data(), payload.size());
-}
-
 // Reads one section frame, validates its CRC, and returns the payload as
 // a view into the file buffer.
 Status ReadSection(BufferReader* file, const char** payload, size_t* size) {
@@ -248,7 +304,8 @@ Status ReadSection(BufferReader* file, const char** payload, size_t* size) {
 // Writes `data` to `path` via the atomic protocol: temp file, fsync,
 // rename, parent-directory fsync. On any failure the temp file is
 // unlinked and the previous contents of `path` are untouched.
-Status AtomicWriteFile(const std::string& path, const std::string& data) {
+Status AtomicWriteFile(const std::string& path, const char* data,
+                       size_t size) {
   const std::string tmp_path = path + ".tmp";
   SIMQ_RETURN_IF_FAILPOINT("save.open");
   const int fd = ::open(tmp_path.c_str(),
@@ -259,10 +316,9 @@ Status AtomicWriteFile(const std::string& path, const std::string& data) {
   }
   Status status = [&]() -> Status {
     size_t offset = 0;
-    while (offset < data.size()) {
+    while (offset < size) {
       SIMQ_RETURN_IF_FAILPOINT("save.write");
-      const ssize_t written =
-          ::write(fd, data.data() + offset, data.size() - offset);
+      const ssize_t written = ::write(fd, data + offset, size - offset);
       if (written < 0) {
         if (errno == EINTR) continue;
         return Status::IoError("write to '" + tmp_path +
@@ -348,6 +404,36 @@ Status ReadFile(const std::string& path, std::string* out) {
   return status;
 }
 
+// Serializes the whole snapshot of `db` in `format_version`'s layout.
+void WriteSnapshot(const Database& db, int format_version,
+                   BufferWriter* file) {
+  const FeatureConfig& config = db.config();
+  const std::vector<std::string> names = db.RelationNames();
+  if (format_version >= 3) {
+    file->Bytes(format_version == 4 ? kMagicV4 : kMagicV3, kMagicLength);
+    const size_t header = file->BeginSection();
+    file->I32(config.num_coefficients);
+    file->I32(static_cast<int32_t>(config.space));
+    file->U8(config.include_mean_std ? 1 : 0);
+    file->U64(names.size());
+    file->EndSection(header);
+    for (const std::string& name : names) {
+      const size_t section = file->BeginSection();
+      AppendRelationBlock(name, *db.GetRelation(name), format_version, file);
+      file->EndSection(section);
+    }
+  } else {
+    file->Bytes(format_version == 2 ? kMagicV2 : kMagicV1, kMagicLength);
+    file->I32(config.num_coefficients);
+    file->I32(static_cast<int32_t>(config.space));
+    file->U8(config.include_mean_std ? 1 : 0);
+    file->U64(names.size());
+    for (const std::string& name : names) {
+      AppendRelationBlock(name, *db.GetRelation(name), format_version, file);
+    }
+  }
+}
+
 }  // namespace
 
 Status SaveDatabase(const Database& db, const std::string& path,
@@ -356,36 +442,18 @@ Status SaveDatabase(const Database& db, const std::string& path,
     return Status::InvalidArgument("unsupported snapshot format version " +
                                    std::to_string(format_version));
   }
-  const FeatureConfig& config = db.config();
-  const std::vector<std::string> names = db.RelationNames();
-
-  BufferWriter file;
-  if (format_version >= 3) {
-    file.Bytes(format_version == 4 ? kMagicV4 : kMagicV3, kMagicLength);
-    BufferWriter header;
-    header.I32(config.num_coefficients);
-    header.I32(static_cast<int32_t>(config.space));
-    header.U8(config.include_mean_std ? 1 : 0);
-    header.U64(names.size());
-    AppendSection(header.buffer(), &file);
-    for (const std::string& name : names) {
-      BufferWriter section;
-      AppendRelationBlock(name, *db.GetRelation(name), format_version,
-                          &section);
-      AppendSection(section.buffer(), &file);
-    }
-  } else {
-    file.Bytes(format_version == 2 ? kMagicV2 : kMagicV1, kMagicLength);
-    file.I32(config.num_coefficients);
-    file.I32(static_cast<int32_t>(config.space));
-    file.U8(config.include_mean_std ? 1 : 0);
-    file.U64(names.size());
-    for (const std::string& name : names) {
-      AppendRelationBlock(name, *db.GetRelation(name), format_version,
-                          &file);
-    }
+  BufferWriter counter;
+  WriteSnapshot(db, format_version, &counter);
+  const MappedBuffer buffer(counter.size());
+  if (buffer.data() == nullptr) {
+    return Status::IoError("cannot map " + std::to_string(counter.size()) +
+                           " bytes for snapshot '" + path +
+                           "': " + std::strerror(errno));
   }
-  return AtomicWriteFile(path, file.buffer());
+  BufferWriter file(buffer.data(), counter.size());
+  WriteSnapshot(db, format_version, &file);
+  SIMQ_CHECK_EQ(file.size(), counter.size());
+  return AtomicWriteFile(path, buffer.data(), file.size());
 }
 
 Result<Database> LoadDatabase(const std::string& path) {

@@ -13,26 +13,9 @@ namespace simq {
 namespace {
 
 // Rows per block of the bulk load's derivation fan-out. Deriving a row
-// (normal form, DFT, feature point) costs microseconds, so a block of 256
-// rows amortizes the scheduling of a pool task many times over.
+// (normal form, DFT, feature point) costs about a microsecond, so a block
+// of 256 rows amortizes the scheduling of a pool task many times over.
 constexpr int64_t kDeriveGrain = 256;
-
-// One record's derived data, each part computed once: the normal form,
-// the statistics and DFT of that normal form, and the index point.
-struct DerivedRow {
-  NormalFormResult normal;
-  SeriesFeatures features;
-  std::vector<double> point;
-};
-
-DerivedRow DeriveRow(const std::vector<double>& raw,
-                     const FeatureConfig& config) {
-  DerivedRow row;
-  row.normal = ToNormalForm(raw);
-  row.features = FeaturesOfNormalForm(row.normal);
-  row.point = MakeFeaturePoint(row.features, config);
-  return row;
-}
 
 }  // namespace
 
@@ -127,19 +110,29 @@ int ShardedRelation::RouteNext() const {
   return target;
 }
 
+void RelationShard::DeriveRow(int64_t local, const double* raw,
+                              const FeatureConfig& config) {
+  store_.DeriveRow(local, raw);
+  FeaturePointInto(store_.mean(local), store_.std_dev(local),
+                   store_.SpectrumRow(local), store_.spectrum_length(),
+                   config, points_.data() + local * index_->dims());
+}
+
 void ShardedRelation::Append(const std::vector<double>& raw) {
-  const DerivedRow row = DeriveRow(raw, config_);
   const int64_t global = size();
   const int target = RouteNext();
   RelationShard& shard = *shards_[static_cast<size_t>(target)];
+  const int n = static_cast<int>(raw.size());
+  const int64_t local = shard.store_.AddRows(1, n, n);
   shard_of_.push_back(target);
-  local_of_.push_back(shard.size());
+  local_of_.push_back(local);
   shard.global_ids_.push_back(global);
   shard.alive_.push_back(1);
-  shard.points_.insert(shard.points_.end(), row.point.begin(),
-                       row.point.end());
-  shard.store_.Append(row.features, row.normal.values);
-  shard.index_->InsertPoint(row.point, global);
+  shard.points_.resize(shard.points_.size() + static_cast<size_t>(dims_));
+  shard.DeriveRow(local, raw.data(), config_);
+  const double* point = shard.point(local);
+  shard.index_->InsertPoint(std::vector<double>(point, point + dims_),
+                            global);
   if (!delta_enabled_) {
     shard.packed_.Invalidate();
     shard.quantized_.Invalidate();
@@ -216,22 +209,18 @@ void ShardedRelation::BulkLoad(const std::vector<TimeSeries>& batch) {
   }
 
   // Derive every row once, in parallel over the whole batch: its normal
-  // form, that normal form's DFT and statistics, and its index point go
-  // straight into the row's own store and point slots. Each row is a pure
-  // function of its raw values and writes only its own slots, so the
-  // result is identical to a serial Append of each row, for any thread
-  // count and any shard count.
+  // form and that normal form's spectrum are computed straight into the
+  // row's store slots, and its index point from the stored row. Each row
+  // is a pure function of its raw values and writes only its own slots,
+  // so the result is identical to a serial Append of each row, for any
+  // thread count and any shard count.
   ThreadPool::Global().ParallelFor(
       0, count, kDeriveGrain, [&](int64_t /*block*/, int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i) {
           const int64_t g = base + i;
-          RelationShard& shard = *shards_[static_cast<size_t>(shard_of(g))];
-          const int64_t local = local_of(g);
-          const DerivedRow row =
-              DeriveRow(batch[static_cast<size_t>(i)].values, config_);
-          shard.store_.SetRow(local, row.features, row.normal.values);
-          std::copy(row.point.begin(), row.point.end(),
-                    shard.points_.begin() + local * dims_);
+          shards_[static_cast<size_t>(shard_of(g))]->DeriveRow(
+              local_of(g), batch[static_cast<size_t>(i)].values.data(),
+              config_);
         }
       });
 

@@ -177,6 +177,12 @@ class RelationShard {
  private:
   friend class ShardedRelation;
 
+  // Derives local row `local` -- already sized in the store and the point
+  // column -- from its raw values: the store row (FeatureStore::DeriveRow)
+  // and then its index point, read off the stored spectrum.
+  void DeriveRow(int64_t local, const double* raw,
+                 const FeatureConfig& config);
+
   FeatureStore store_;
   std::vector<int64_t> global_ids_;  // local row -> global record id
   std::vector<uint8_t> alive_;       // local row -> 0 once deleted

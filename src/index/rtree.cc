@@ -7,6 +7,7 @@
 #include <queue>
 
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace simq {
 namespace {
@@ -118,7 +119,7 @@ RTree::Node* RTree::ChooseSubtree(Node* node, const Rect& rect) const {
 }
 
 void RTree::AddEntryToNode(Node* node, PendingEntry entry) {
-  node->rects.push_back(entry.rect);
+  node->rects.push_back(std::move(entry.rect));
   if (entry.child != nullptr) {
     SIMQ_DCHECK(!node->is_leaf);
     entry.child->parent = node;
@@ -469,85 +470,117 @@ bool RTree::Delete(const Rect& box, int64_t id) {
   return true;
 }
 
+int RTree::StrParts(int count, int dim) const {
+  const int num_groups =
+      (count + options_.max_entries - 1) / options_.max_entries;
+  if (dim >= dims_ - 1) {
+    return num_groups;
+  }
+  return std::max(1, static_cast<int>(std::ceil(std::pow(
+                         static_cast<double>(num_groups),
+                         1.0 / static_cast<double>(dims_ - dim)))));
+}
+
+void RTree::StrTile(PendingEntry* items, int count, int dim,
+                    std::pair<double, int>* order,
+                    PendingEntry* scratch) const {
+  // Slices one dimension at a time by MBR center. Partitions are always
+  // near-even, which keeps every group at or above ceil(cap/2) >=
+  // min_entries, so bulk-loaded trees satisfy the fill invariants.
+  if (count <= options_.max_entries) {
+    return;
+  }
+  // Sort by center along `dim` through (key, position) pairs: std::sort
+  // makes the same moves for the same comparison outcomes whatever the
+  // element type, so this is the order of sorting the entries themselves,
+  // without chasing two heap arrays per comparison.
+  for (int i = 0; i < count; ++i) {
+    const Rect& rect = items[i].rect;
+    order[i] = {rect.lo(dim) + rect.hi(dim), i};
+  }
+  std::sort(order, order + count,
+            [](const std::pair<double, int>& a,
+               const std::pair<double, int>& b) { return a.first < b.first; });
+  for (int k = 0; k < count; ++k) {
+    scratch[k] = std::move(items[order[k].second]);
+  }
+  std::move(scratch, scratch + count, items);
+  if (dim >= dims_ - 1) {
+    return;  // the groups are the near-even parts of the sorted run
+  }
+  // Each slab tiles its own range of the buffers. std::sort has no
+  // tie-break, but each slab runs the same sort on the same input
+  // whichever thread runs it, so the tree does not depend on the thread
+  // count. Nested calls from a pool worker run serially.
+  const int parts = StrParts(count, dim);
+  ThreadPool::Global().ParallelFor(
+      0, parts, /*min_grain=*/1,
+      [&](int64_t /*block*/, int64_t lo, int64_t hi) {
+        for (int64_t p = lo; p < hi; ++p) {
+          const int begin = static_cast<int>(count * p / parts);
+          const int end = static_cast<int>(count * (p + 1) / parts);
+          StrTile(items + begin, end - begin, dim + 1, order + begin,
+                  scratch + begin);
+        }
+      });
+}
+
+void RTree::StrGroupEnds(int count, int dim, int offset,
+                         std::vector<int>* ends) const {
+  if (count <= options_.max_entries) {
+    ends->push_back(offset + count);
+    return;
+  }
+  const int parts = StrParts(count, dim);
+  for (int64_t p = 0; p < parts; ++p) {
+    const int begin = static_cast<int>(count * p / parts);
+    const int end = static_cast<int>(count * (p + 1) / parts);
+    if (dim >= dims_ - 1) {
+      ends->push_back(offset + end);
+    } else {
+      StrGroupEnds(end - begin, dim + 1, offset + begin, ends);
+    }
+  }
+}
+
 void RTree::BulkLoad(std::vector<std::pair<Rect, int64_t>> input) {
   SIMQ_CHECK_EQ(size_, 0) << "BulkLoad requires an empty tree";
   if (input.empty()) {
     return;
   }
-  for (const auto& [rect, id] : input) {
-    SIMQ_CHECK_EQ(rect.dims(), dims_);
-  }
-
   std::vector<PendingEntry> entries(input.size());
   for (size_t i = 0; i < input.size(); ++i) {
-    entries[i].rect = input[i].first;
+    SIMQ_CHECK_EQ(input[i].first.dims(), dims_);
+    entries[i].rect = std::move(input[i].first);
     entries[i].id = input[i].second;
   }
   size_ = static_cast<int64_t>(input.size());
 
-  // Sort-Tile-Recursive partitioning of entries into groups of at most
-  // `capacity`, slicing one dimension at a time by MBR center. Partitions
-  // are always near-even, which keeps every group at or above ceil(cap/2)
-  // >= min_entries, so bulk-loaded trees satisfy the fill invariants.
-  const int capacity = options_.max_entries;
-  std::vector<std::vector<PendingEntry>> groups;
-  std::function<void(std::vector<PendingEntry>, int)> tile =
-      [&](std::vector<PendingEntry> items, int dim) {
-        const int count = static_cast<int>(items.size());
-        if (count <= capacity) {
-          groups.push_back(std::move(items));
-          return;
-        }
-        std::sort(items.begin(), items.end(),
-                  [dim](const PendingEntry& a, const PendingEntry& b) {
-                    return a.rect.lo(dim) + a.rect.hi(dim) <
-                           b.rect.lo(dim) + b.rect.hi(dim);
-                  });
-        const int num_groups = (count + capacity - 1) / capacity;
-        auto partition_evenly = [&](int parts, auto&& consume) {
-          for (int p = 0; p < parts; ++p) {
-            const int begin = static_cast<int>(
-                static_cast<int64_t>(count) * p / parts);
-            const int end = static_cast<int>(
-                static_cast<int64_t>(count) * (p + 1) / parts);
-            if (end > begin) {
-              consume(std::vector<PendingEntry>(
-                  std::make_move_iterator(items.begin() + begin),
-                  std::make_move_iterator(items.begin() + end)));
-            }
-          }
-        };
-        if (dim >= dims_ - 1) {
-          partition_evenly(num_groups, [&](std::vector<PendingEntry> group) {
-            groups.push_back(std::move(group));
-          });
-          return;
-        }
-        const int slabs = std::max(
-            1, static_cast<int>(std::ceil(std::pow(
-                   static_cast<double>(num_groups),
-                   1.0 / static_cast<double>(dims_ - dim)))));
-        partition_evenly(slabs, [&](std::vector<PendingEntry> slab) {
-          tile(std::move(slab), dim + 1);
-        });
-      };
-
   int level = 0;
   node_count_ = 0;
+  std::vector<std::pair<double, int>> order;
+  std::vector<PendingEntry> scratch;
+  std::vector<int> ends;
   while (true) {
-    groups.clear();
-    tile(std::move(entries), 0);
+    const int count = static_cast<int>(entries.size());
+    order.resize(entries.size());
+    scratch.resize(entries.size());
+    StrTile(entries.data(), count, 0, order.data(), scratch.data());
+    ends.clear();
+    StrGroupEnds(count, 0, 0, &ends);
     std::vector<std::unique_ptr<Node>> nodes;
-    nodes.reserve(groups.size());
-    for (auto& group : groups) {
+    nodes.reserve(ends.size());
+    int begin = 0;
+    for (const int end : ends) {
       auto node = std::make_unique<Node>();
       node->is_leaf = (level == 0);
       node->level = level;
       ++node_count_;
-      for (PendingEntry& entry : group) {
-        AddEntryToNode(node.get(), std::move(entry));
+      for (int i = begin; i < end; ++i) {
+        AddEntryToNode(node.get(), std::move(entries[static_cast<size_t>(i)]));
       }
       nodes.push_back(std::move(node));
+      begin = end;
     }
     if (nodes.size() == 1) {
       root_ = std::move(nodes[0]);

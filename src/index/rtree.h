@@ -85,7 +85,9 @@ class RTree {
   // entries reinserted (Guttman's CondenseTree).
   bool Delete(const Rect& box, int64_t id);
 
-  // Sort-Tile-Recursive bulk load. Requires an empty tree.
+  // Sort-Tile-Recursive bulk load. Requires an empty tree. The slabs of
+  // each partition tile on the global thread pool; the tree is the same
+  // for any thread count.
   void BulkLoad(std::vector<std::pair<Rect, int64_t>> entries);
 
   // Range search per Algorithm 2. `affines` (from LowerToFeatureSpace) is
@@ -163,6 +165,21 @@ class RTree {
     std::unique_ptr<Node> child;      // valid for internal entries
   };
 
+  // Sort-Tile-Recursive partitioning of items[0, count) from dimension
+  // `dim` on, in place: afterwards each group of at most max_entries is
+  // contiguous, in tile order, ending at the offsets StrGroupEnds gives.
+  // `order` and `scratch` are caller-owned buffers of `count` elements.
+  // The slabs of one call tile on ThreadPool::Global() and allocate
+  // nothing.
+  void StrTile(PendingEntry* items, int count, int dim,
+               std::pair<double, int>* order, PendingEntry* scratch) const;
+  // Appends, offset by `offset`, the end of each group StrTile forms from
+  // `count` entries starting at dimension `dim`.
+  void StrGroupEnds(int count, int dim, int offset,
+                    std::vector<int>* ends) const;
+  // The near-even parts STR cuts `count` entries into along `dim`: slabs,
+  // or groups at the last dimension.
+  int StrParts(int count, int dim) const;
   Node* ChooseSubtree(Node* node, const Rect& rect) const;
   void InsertAtLevel(PendingEntry entry, int level,
                      std::vector<bool>* reinsert_used);

@@ -1,45 +1,135 @@
 #include "ts/dft.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 
 #include "util/logging.h"
 
 namespace simq {
 namespace {
 
-// In-place non-normalized radix-2 FFT. sign = -1 forward, +1 inverse.
-void Radix2Fft(Spectrum* data, int sign) {
-  const size_t n = data->size();
-  SIMQ_DCHECK(IsPowerOfTwo(n));
-  Spectrum& a = *data;
-
-  // Bit-reversal permutation.
-  for (size_t i = 1, j = 0; i < n; ++i) {
-    size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) {
-      j ^= bit;
+// A cached plan for one power-of-two length n: the bit-reversal
+// permutation and the forward twiddles w_k = exp(-2 pi i k / n), k < n/2,
+// each evaluated directly from its angle (no recurrence, so every twiddle
+// is within a few ulps). Plans are immutable once built and live for the
+// process, so any thread may use one without locking.
+struct FftPlan {
+  explicit FftPlan(size_t length) : n(length), bitrev(length) {
+    int bits = 0;
+    while ((size_t{1} << bits) < n) {
+      ++bits;
     }
-    j ^= bit;
-    if (i < j) {
-      std::swap(a[i], a[j]);
+    for (size_t i = 0; i < n; ++i) {
+      size_t r = 0;
+      for (int b = 0; b < bits; ++b) {
+        r |= ((i >> b) & 1) << (bits - 1 - b);
+      }
+      bitrev[i] = static_cast<uint32_t>(r);
+    }
+    twiddles.resize(n);  // n/2 interleaved (re, im) pairs
+    for (size_t k = 0; k < n / 2; ++k) {
+      const double angle =
+          -2.0 * M_PI * static_cast<double>(k) / static_cast<double>(n);
+      twiddles[2 * k] = std::cos(angle);
+      twiddles[2 * k + 1] = std::sin(angle);
     }
   }
 
-  for (size_t len = 2; len <= n; len <<= 1) {
-    const double angle = sign * 2.0 * M_PI / static_cast<double>(len);
-    const Complex wlen(std::cos(angle), std::sin(angle));
-    for (size_t i = 0; i < n; i += len) {
-      Complex w(1.0, 0.0);
-      for (size_t k = 0; k < len / 2; ++k) {
-        const Complex u = a[i + k];
-        const Complex v = a[i + k + len / 2] * w;
-        a[i + k] = u + v;
-        a[i + k + len / 2] = u - v;
-        w *= wlen;
+  size_t n;
+  std::vector<uint32_t> bitrev;
+  std::vector<double> twiddles;
+};
+
+// The plan for power-of-two n. Lookups are one acquire load; the first
+// use of a length builds its plan under a mutex. At most one plan per
+// power of two ever exists, and none is freed.
+const FftPlan& PlanFor(size_t n) {
+  SIMQ_DCHECK(IsPowerOfTwo(n));
+  static std::atomic<const FftPlan*> plans[64];
+  static std::mutex build_mutex;
+  int log2n = 0;
+  while ((size_t{1} << log2n) < n) {
+    ++log2n;
+  }
+  std::atomic<const FftPlan*>& slot = plans[log2n];
+  const FftPlan* plan = slot.load(std::memory_order_acquire);
+  if (plan == nullptr) {
+    std::lock_guard<std::mutex> lock(build_mutex);
+    plan = slot.load(std::memory_order_relaxed);
+    if (plan == nullptr) {
+      plan = new FftPlan(n);
+      slot.store(plan, std::memory_order_release);
+    }
+  }
+  return *plan;
+}
+
+// Copies n complex values (interleaved doubles) from `in` to `out` in
+// bit-reversed order; `in` and `out` must not overlap.
+void PermuteInto(const FftPlan& plan, const double* in, double* out) {
+  for (size_t i = 0; i < plan.n; ++i) {
+    const size_t j = plan.bitrev[i];
+    out[2 * j] = in[2 * i];
+    out[2 * j + 1] = in[2 * i + 1];
+  }
+}
+
+void PermuteInPlace(const FftPlan& plan, double* a) {
+  for (size_t i = 0; i < plan.n; ++i) {
+    const size_t j = plan.bitrev[i];
+    if (i < j) {
+      std::swap(a[2 * i], a[2 * j]);
+      std::swap(a[2 * i + 1], a[2 * j + 1]);
+    }
+  }
+}
+
+// The butterfly stages of an in-place non-normalized radix-2 FFT over n
+// complex values (interleaved doubles) already in bit-reversed order.
+// kInverse selects the +i kernel (conjugated twiddles). A stage of span
+// 2h reads every (n/2h)-th twiddle of the plan.
+template <bool kInverse>
+void Butterflies(const FftPlan& plan, double* a) {
+  const size_t n = plan.n;
+  const double* tw = plan.twiddles.data();
+  if (n >= 2) {
+    for (size_t i = 0; i < n; i += 2) {  // span 2: the twiddle is 1
+      double* u = a + 2 * i;
+      const double vr = u[2];
+      const double vi = u[3];
+      u[2] = u[0] - vr;
+      u[3] = u[1] - vi;
+      u[0] += vr;
+      u[1] += vi;
+    }
+  }
+  for (size_t half = 2, stride = n / 4; half < n; half <<= 1, stride >>= 1) {
+    for (size_t i = 0; i < n; i += 2 * half) {
+      double* u = a + 2 * i;
+      double* v = u + 2 * half;
+      for (size_t k = 0; k < half; ++k) {
+        const double wr = tw[2 * k * stride];
+        const double wi = kInverse ? -tw[2 * k * stride + 1]
+                                   : tw[2 * k * stride + 1];
+        const double vr = v[2 * k] * wr - v[2 * k + 1] * wi;
+        const double vi = v[2 * k] * wi + v[2 * k + 1] * wr;
+        v[2 * k] = u[2 * k] - vr;
+        v[2 * k + 1] = u[2 * k + 1] - vi;
+        u[2 * k] += vr;
+        u[2 * k + 1] += vi;
       }
     }
+  }
+}
+
+void Fft(const FftPlan& plan, int sign, double* a) {
+  if (sign < 0) {
+    Butterflies<false>(plan, a);
+  } else {
+    Butterflies<true>(plan, a);
   }
 }
 
@@ -55,8 +145,7 @@ size_t NextPowerOfTwo(size_t n) {
 // pair: the chirp and the FFT of the (input-independent) convolution
 // kernel. Cached per thread so repeated transforms of the same length --
 // the normal case: every series in a relation has one length -- do two
-// power-of-two FFTs instead of three, with no per-call allocation beyond
-// the output.
+// power-of-two FFTs instead of three, with no per-call allocation.
 struct BluesteinPlan {
   size_t n = 0;
   int sign = 0;
@@ -88,13 +177,17 @@ const BluesteinPlan& GetBluesteinPlan(size_t n, int sign) {
     plan->chirp[j] = Complex(std::cos(phase), std::sin(phase));
   }
 
-  plan->kernel_fft.assign(plan->m, Complex(0.0, 0.0));
-  plan->kernel_fft[0] = std::conj(plan->chirp[0]);
+  Spectrum kernel(plan->m, Complex(0.0, 0.0));
+  kernel[0] = std::conj(plan->chirp[0]);
   for (size_t j = 1; j < n; ++j) {
-    plan->kernel_fft[j] = std::conj(plan->chirp[j]);
-    plan->kernel_fft[plan->m - j] = std::conj(plan->chirp[j]);
+    kernel[j] = std::conj(plan->chirp[j]);
+    kernel[plan->m - j] = std::conj(plan->chirp[j]);
   }
-  Radix2Fft(&plan->kernel_fft, -1);
+  const FftPlan& fft = PlanFor(plan->m);
+  plan->kernel_fft.resize(plan->m);
+  PermuteInto(fft, reinterpret_cast<const double*>(kernel.data()),
+              reinterpret_cast<double*>(plan->kernel_fft.data()));
+  Fft(fft, -1, reinterpret_cast<double*>(plan->kernel_fft.data()));
 
   if (cache.size() >= 8) {
     cache.erase(cache.begin());  // FIFO: keep the most recent lengths
@@ -105,71 +198,146 @@ const BluesteinPlan& GetBluesteinPlan(size_t n, int sign) {
 
 // Bluestein's chirp-z transform: expresses an arbitrary-length DFT as a
 // linear convolution, evaluated with zero-padded power-of-two FFTs.
-// Returns the non-normalized forward DFT (sign = -1) or inverse kernel
-// (sign = +1) of x.
-Spectrum BluesteinDft(const Spectrum& x, int sign) {
-  const size_t n = x.size();
+// Writes the DFT (sign = -1) or inverse kernel (sign = +1) of the n
+// values input(0..n-1), times `scale`, to out[0, n).
+template <typename Input>
+void BluesteinDft(size_t n, int sign, double scale, const Input& input,
+                  Complex* out) {
   SIMQ_CHECK_GT(n, 0u);
   const BluesteinPlan& plan = GetBluesteinPlan(n, sign);
+  const FftPlan& fft = PlanFor(plan.m);
 
   static thread_local Spectrum scratch;
   scratch.assign(plan.m, Complex(0.0, 0.0));
   for (size_t j = 0; j < n; ++j) {
-    scratch[j] = x[j] * plan.chirp[j];
+    scratch[j] = input(j) * plan.chirp[j];
   }
-  Radix2Fft(&scratch, -1);
+  double* data = reinterpret_cast<double*>(scratch.data());
+  PermuteInPlace(fft, data);
+  Fft(fft, -1, data);
   for (size_t j = 0; j < plan.m; ++j) {
     scratch[j] *= plan.kernel_fft[j];
   }
-  Radix2Fft(&scratch, +1);
+  PermuteInPlace(fft, data);
+  Fft(fft, +1, data);
 
-  Spectrum out(n);
-  const double inv_m = 1.0 / static_cast<double>(plan.m);
+  const double out_scale = scale / static_cast<double>(plan.m);
   for (size_t k = 0; k < n; ++k) {
-    out[k] = scratch[k] * inv_m * plan.chirp[k];
+    out[k] = scratch[k] * out_scale * plan.chirp[k];
   }
-  return out;
 }
 
-// Non-normalized DFT dispatcher.
-Spectrum RawDft(const Spectrum& x, int sign) {
-  if (IsPowerOfTwo(x.size())) {
-    Spectrum copy = x;
-    Radix2Fft(&copy, sign);
-    return copy;
+// Non-normalized (scale 1) or scaled DFT of a complex signal of any
+// length; `out` must not alias `x`.
+void ComplexDft(const Complex* x, size_t n, int sign, double scale,
+                Complex* out) {
+  if (!IsPowerOfTwo(n)) {
+    BluesteinDft(n, sign, scale, [x](size_t j) { return x[j]; }, out);
+    return;
   }
-  return BluesteinDft(x, sign);
+  const FftPlan& plan = PlanFor(n);
+  double* data = reinterpret_cast<double*>(out);
+  PermuteInto(plan, reinterpret_cast<const double*>(x), data);
+  Fft(plan, sign, data);
+  if (scale != 1.0) {
+    for (size_t i = 0; i < 2 * n; ++i) {
+      data[i] *= scale;
+    }
+  }
+}
+
+Spectrum RawDft(const Spectrum& x, int sign) {
+  Spectrum out(x.size());
+  ComplexDft(x.data(), x.size(), sign, 1.0, out.data());
+  return out;
 }
 
 }  // namespace
 
 bool IsPowerOfTwo(size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
-Spectrum Dft(const std::vector<double>& x) {
-  Spectrum input(x.size());
-  for (size_t i = 0; i < x.size(); ++i) {
-    input[i] = Complex(x[i], 0.0);
+void RealDft(const double* x, size_t n, double* out) {
+  SIMQ_CHECK_GT(n, 0u);
+  const double scale = 1.0 / std::sqrt(static_cast<double>(n));
+  if (n == 1) {
+    out[0] = x[0];
+    out[1] = 0.0;
+    return;
   }
-  return Dft(input);
+  if (!IsPowerOfTwo(n)) {
+    BluesteinDft(n, -1, scale, [x](size_t j) { return Complex(x[j], 0.0); },
+                 reinterpret_cast<Complex*>(out));
+    return;
+  }
+  // Read the n reals as m = n/2 complex values z_t = x_{2t} + i x_{2t+1}
+  // and transform them into the low half of `out`: Z = FFT_m(z).
+  const size_t m = n / 2;
+  const FftPlan& half = PlanFor(m);
+  PermuteInto(half, x, out);
+  Fft(half, -1, out);
+
+  // Split step: with E and O the spectra of the even and odd samples,
+  // Z_k = E_k + i O_k, and X_k = E_k + w^k O_k for w = exp(-2 pi i / n),
+  // where E_k = (Z_k + conj Z_{m-k}) / 2 and O_k = (Z_k - conj Z_{m-k}) / 2i.
+  // The pair (k, m-k) is read once and both outputs written back in place:
+  // X_{m-k} = conj(E_k - w^k O_k).
+  const double* w = PlanFor(n).twiddles.data();
+  const double half_scale = 0.5 * scale;
+  const double z0r = out[0];
+  const double z0i = out[1];
+  out[0] = (z0r + z0i) * scale;
+  out[1] = 0.0;
+  out[2 * m] = (z0r - z0i) * scale;
+  out[2 * m + 1] = 0.0;
+  for (size_t k = 1; 2 * k <= m; ++k) {
+    const size_t j = m - k;
+    const double zkr = out[2 * k];
+    const double zki = out[2 * k + 1];
+    const double zjr = out[2 * j];
+    const double zji = out[2 * j + 1];
+    const double er = zkr + zjr;  // 2 E_k
+    const double ei = zki - zji;
+    const double or_ = zki + zji;  // 2 O_k
+    const double oi = zjr - zkr;
+    const double wr = w[2 * k];
+    const double wi = w[2 * k + 1];
+    const double tr = wr * or_ - wi * oi;  // 2 w^k O_k
+    const double ti = wr * oi + wi * or_;
+    out[2 * k] = (er + tr) * half_scale;
+    out[2 * k + 1] = (ei + ti) * half_scale;
+    if (j != k) {
+      out[2 * j] = (er - tr) * half_scale;
+      out[2 * j + 1] = (ti - ei) * half_scale;
+    }
+  }
+  // A real signal's spectrum is conjugate-symmetric: X_{n-k} = conj X_k.
+  for (size_t k = 1; k < m; ++k) {
+    out[2 * (n - k)] = out[2 * k];
+    out[2 * (n - k) + 1] = -out[2 * k + 1];
+  }
+}
+
+Spectrum Dft(const std::vector<double>& x) {
+  SIMQ_CHECK(!x.empty());
+  Spectrum out(x.size());
+  RealDft(x.data(), x.size(), reinterpret_cast<double*>(out.data()));
+  return out;
 }
 
 Spectrum Dft(const Spectrum& x) {
   SIMQ_CHECK(!x.empty());
-  Spectrum out = RawDft(x, -1);
-  const double scale = 1.0 / std::sqrt(static_cast<double>(x.size()));
-  for (Complex& value : out) {
-    value *= scale;
-  }
+  Spectrum out(x.size());
+  ComplexDft(x.data(), x.size(), -1,
+             1.0 / std::sqrt(static_cast<double>(x.size())), out.data());
   return out;
 }
 
 Spectrum InverseDft(const Spectrum& spectrum) {
   SIMQ_CHECK(!spectrum.empty());
-  Spectrum out = RawDft(spectrum, +1);
-  const double scale = 1.0 / std::sqrt(static_cast<double>(spectrum.size()));
-  for (Complex& value : out) {
-    value *= scale;
-  }
+  Spectrum out(spectrum.size());
+  ComplexDft(spectrum.data(), spectrum.size(), +1,
+             1.0 / std::sqrt(static_cast<double>(spectrum.size())),
+             out.data());
   return out;
 }
 
@@ -192,8 +360,11 @@ Spectrum NaiveDft(const Spectrum& x) {
   for (size_t f = 0; f < n; ++f) {
     Complex sum(0.0, 0.0);
     for (size_t t = 0; t < n; ++t) {
-      const double phase = -2.0 * M_PI * static_cast<double>(t) *
-                           static_cast<double>(f) / static_cast<double>(n);
+      // t*f is reduced mod n before the float division, so the phase stays
+      // within one turn and the oracle keeps its accuracy at long lengths.
+      const uint64_t tf = static_cast<uint64_t>(t) * f % n;
+      const double phase = -2.0 * M_PI * static_cast<double>(tf) /
+                           static_cast<double>(n);
       sum += x[t] * Complex(std::cos(phase), std::sin(phase));
     }
     out[f] = sum * scale;

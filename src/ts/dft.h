@@ -7,14 +7,18 @@
 // so Euclidean distances are identical in the time and frequency domains
 // (Equation 8) -- the foundation of the k-index filter (Lemma 1).
 //
-// Implementation: iterative radix-2 Cooley-Tukey for power-of-two lengths,
-// Bluestein's chirp-z algorithm for arbitrary lengths (so every experiment
-// parameter is legal), and a naive O(n^2) reference used by tests.
+// Implementation: iterative radix-2 Cooley-Tukey for power-of-two lengths
+// over a cached per-length plan (bit-reversal and twiddle tables, built once
+// per process and shared by every thread), Bluestein's chirp-z algorithm for
+// arbitrary lengths (so every experiment parameter is legal; its inner
+// transforms use the same plans), a real-input path that runs a length-n/2
+// complex FFT plus a split step, and a naive O(n^2) reference used by tests.
 
 #ifndef SIMQ_TS_DFT_H_
 #define SIMQ_TS_DFT_H_
 
 #include <complex>
+#include <cstddef>
 #include <vector>
 
 namespace simq {
@@ -24,7 +28,16 @@ using Spectrum = std::vector<Complex>;
 
 bool IsPowerOfTwo(size_t n);
 
-// Forward unitary DFT of a real or complex signal.
+// Forward unitary DFT of the real signal x[0, n), written to out[0, 2n) as
+// interleaved (re, im) pairs -- the layout of a FeatureStore spectrum row.
+// For power-of-two n >= 2 this is a length-n/2 complex FFT of the even and
+// odd samples plus a split step, with no allocation; the output is exactly
+// conjugate-symmetric. Other lengths take the Bluestein path (n = 1 is the
+// identity). `x` and `out` must not overlap.
+void RealDft(const double* x, size_t n, double* out);
+
+// Forward unitary DFT of a real or complex signal. The real overload is
+// RealDft into the returned spectrum, so the two give identical bits.
 Spectrum Dft(const std::vector<double>& x);
 Spectrum Dft(const Spectrum& x);
 

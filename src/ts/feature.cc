@@ -6,6 +6,20 @@
 #include "util/logging.h"
 
 namespace simq {
+namespace {
+
+// The two coordinates of one coefficient in `space`.
+void CoordsInto(const Complex& c, FeatureSpace space, double* out) {
+  if (space == FeatureSpace::kRectangular) {
+    out[0] = c.real();
+    out[1] = c.imag();
+  } else {
+    out[0] = std::abs(c);
+    out[1] = std::arg(c);  // in (-pi, pi]
+  }
+}
+
+}  // namespace
 
 int FeatureDimension(const FeatureConfig& config) {
   SIMQ_CHECK_GT(config.num_coefficients, 0);
@@ -26,11 +40,7 @@ std::vector<bool> AngleDimensions(const FeatureConfig& config) {
 
 SeriesFeatures ComputeFeatures(const std::vector<double>& series) {
   SIMQ_CHECK(!series.empty());
-  return FeaturesOfNormalForm(ToNormalForm(series));
-}
-
-SeriesFeatures FeaturesOfNormalForm(const NormalFormResult& normal) {
-  SIMQ_CHECK(!normal.values.empty());
+  const NormalFormResult normal = ToNormalForm(series);
   SeriesFeatures features;
   features.mean = normal.mean;
   features.std_dev = normal.std_dev;
@@ -54,33 +64,36 @@ std::vector<Complex> ExtractCoefficients(const Spectrum& spectrum,
 
 std::vector<double> CoefficientsToCoords(const std::vector<Complex>& coeffs,
                                          FeatureSpace space) {
-  std::vector<double> coords;
-  coords.reserve(2 * coeffs.size());
-  for (const Complex& c : coeffs) {
-    if (space == FeatureSpace::kRectangular) {
-      coords.push_back(c.real());
-      coords.push_back(c.imag());
-    } else {
-      coords.push_back(std::abs(c));
-      coords.push_back(std::arg(c));  // in (-pi, pi]
-    }
+  std::vector<double> coords(2 * coeffs.size());
+  for (size_t i = 0; i < coeffs.size(); ++i) {
+    CoordsInto(coeffs[i], space, &coords[2 * i]);
   }
   return coords;
 }
 
 std::vector<double> MakeFeaturePoint(const SeriesFeatures& features,
                                      const FeatureConfig& config) {
-  std::vector<double> point;
-  point.reserve(static_cast<size_t>(FeatureDimension(config)));
-  if (config.include_mean_std) {
-    point.push_back(features.mean);
-    point.push_back(features.std_dev);
-  }
-  const std::vector<Complex> coeffs =
-      ExtractCoefficients(features.normal_spectrum, config.num_coefficients);
-  const std::vector<double> coords = CoefficientsToCoords(coeffs, config.space);
-  point.insert(point.end(), coords.begin(), coords.end());
+  std::vector<double> point(static_cast<size_t>(FeatureDimension(config)));
+  FeaturePointInto(features.mean, features.std_dev,
+                   reinterpret_cast<const double*>(
+                       features.normal_spectrum.data()),
+                   features.length(), config, point.data());
   return point;
+}
+
+void FeaturePointInto(double mean, double std_dev, const double* spectrum,
+                      int n, const FeatureConfig& config, double* out) {
+  if (config.include_mean_std) {
+    *out++ = mean;
+    *out++ = std_dev;
+  }
+  // Coefficients X1..Xk (coefficient 0 skipped), zero past the spectrum.
+  for (int c = 1; c <= config.num_coefficients; ++c) {
+    const Complex x = c < n ? Complex(spectrum[2 * c], spectrum[2 * c + 1])
+                            : Complex(0.0, 0.0);
+    CoordsInto(x, config.space, out);
+    out += 2;
+  }
 }
 
 }  // namespace simq

@@ -58,11 +58,6 @@ struct SeriesFeatures {
 
 SeriesFeatures ComputeFeatures(const std::vector<double>& series);
 
-// The same features from a normal form the caller already holds:
-// ComputeFeatures(s) == FeaturesOfNormalForm(ToNormalForm(s)) bit for bit,
-// so a caller that keeps the normal form derives it once.
-SeriesFeatures FeaturesOfNormalForm(const NormalFormResult& normal);
-
 // First num_coefficients coefficients X1..Xk (coefficient 0 skipped).
 // If the spectrum is shorter, missing entries are zero.
 std::vector<Complex> ExtractCoefficients(const Spectrum& spectrum,
@@ -75,6 +70,12 @@ std::vector<double> CoefficientsToCoords(const std::vector<Complex>& coeffs,
 // Full index point for a series under `config` (mean/std prefix if enabled).
 std::vector<double> MakeFeaturePoint(const SeriesFeatures& features,
                                      const FeatureConfig& config);
+
+// MakeFeaturePoint from a spectrum held as n interleaved (re, im) pairs --
+// a FeatureStore row -- written to out[0, FeatureDimension(config)): the
+// same values bit for bit, with no Spectrum or point vector built.
+void FeaturePointInto(double mean, double std_dev, const double* spectrum,
+                      int n, const FeatureConfig& config, double* out);
 
 }  // namespace simq
 

@@ -1,5 +1,6 @@
 #include "ts/transforms.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
@@ -9,17 +10,41 @@ namespace simq {
 
 NormalFormResult ToNormalForm(const std::vector<double>& series) {
   NormalFormResult result;
-  result.mean = Mean(series);
-  result.std_dev = StdDev(series);
   result.values.resize(series.size());
-  if (result.std_dev == 0.0) {
-    // Constant series: the normal form is defined as the zero series.
-    return result;
-  }
-  for (size_t i = 0; i < series.size(); ++i) {
-    result.values[i] = (series[i] - result.mean) / result.std_dev;
-  }
+  NormalFormInto(series.data(), series.size(), result.values.data(),
+                 &result.mean, &result.std_dev);
   return result;
+}
+
+void NormalFormInto(const double* series, size_t n, double* out,
+                    double* mean, double* std_dev) {
+  // Mean and StdDev of util/stats, inlined over the raw pointer: the same
+  // sums in the same order.
+  double m = 0.0;
+  double s = 0.0;
+  if (n > 0) {
+    double sum = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      sum += series[i];
+    }
+    m = sum / static_cast<double>(n);
+    double sum_sq = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      const double d = series[i] - m;
+      sum_sq += d * d;
+    }
+    s = std::sqrt(sum_sq / static_cast<double>(n));
+  }
+  *mean = m;
+  *std_dev = s;
+  if (s == 0.0) {
+    // Constant series: the normal form is defined as the zero series.
+    std::fill(out, out + n, 0.0);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = (series[i] - m) / s;
+  }
 }
 
 std::vector<double> CircularMovingAverage(const std::vector<double>& series,

@@ -33,6 +33,12 @@ struct NormalFormResult {
 // A constant series (std == 0) normalizes to the all-zero series.
 NormalFormResult ToNormalForm(const std::vector<double>& series);
 
+// ToNormalForm of series[0, n) written to out[0, n) (which must not overlap
+// the input), with the statistics returned through `mean` and `std_dev`:
+// the same arithmetic, so the same bits, without allocating.
+void NormalFormInto(const double* series, size_t n, double* out,
+                    double* mean, double* std_dev);
+
 // ---------------------------------------------------------------------------
 // Time-domain transformations.
 // ---------------------------------------------------------------------------

@@ -8,7 +8,12 @@
 // stats summary and the snapshot file bytes. It runs 1 and 3 shards, both
 // partition policies, batch sizes around the derivation grain, with and
 // without a one-thread parallelism budget, over batches that hold a
-// constant series and a NaN-bearing one.
+// constant series and a NaN-bearing one, at series lengths 45 (the
+// Bluestein DFT path, with padded store rows), 64 and 128 (the real-input
+// FFT path; 128 is perfbench's shape). The store's padding lanes must read
+// 0.0 although AddRows leaves new rows uninitialised, and a batch large
+// enough for the STR build to tile its slabs on the pool must give the
+// tree a serial build gives.
 
 #include <algorithm>
 #include <cmath>
@@ -40,8 +45,6 @@
 namespace simq {
 namespace {
 
-constexpr int kLength = 45;  // not a power of two: the Bluestein DFT path
-
 bool SameBits(const double* a, const double* b, int64_t count) {
   return std::memcmp(a, b, static_cast<size_t>(count) * sizeof(double)) ==
          0;
@@ -51,17 +54,49 @@ bool SameBits(double a, double b) { return SameBits(&a, &b, 1); }
 
 // Random walks plus a constant series (std 0: an all-zero normal form) and
 // a series with one NaN value (NaN statistics, spectrum and point).
-std::vector<TimeSeries> MakeBatch(int count) {
+std::vector<TimeSeries> MakeBatch(int count, int length) {
   std::vector<TimeSeries> batch =
-      workload::RandomWalkSeries(count, kLength, 97 + count);
+      workload::RandomWalkSeries(count, length, 97 + count);
   if (count > 1) {
-    batch[1].values.assign(kLength, 3.25);
+    batch[1].values.assign(static_cast<size_t>(length), 3.25);
   }
   if (count > 2) {
-    batch[static_cast<size_t>(count / 2)].values[kLength / 3] =
-        std::numeric_limits<double>::quiet_NaN();
+    batch[static_cast<size_t>(count / 2)].values[static_cast<size_t>(
+        length / 3)] = std::numeric_limits<double>::quiet_NaN();
   }
   return batch;
+}
+
+// Rows are padded to a multiple of 8 doubles (64 bytes); the lanes past a
+// row's values must hold +0.0. Checked over every row of `store`.
+void ExpectZeroPadding(const FeatureStore& store, const std::string& where) {
+  const int64_t spectrum_lanes = 2 * int64_t{store.spectrum_length()};
+  const int64_t spectrum_stride = (spectrum_lanes + 7) / 8 * 8;
+  const int64_t normal_lanes = store.series_length();
+  const int64_t normal_stride = (normal_lanes + 7) / 8 * 8;
+  const double zero = 0.0;
+  for (int64_t i = 0; i < store.size(); ++i) {
+    for (int64_t lane = spectrum_lanes; lane < spectrum_stride; ++lane) {
+      EXPECT_TRUE(std::memcmp(store.SpectrumRow(i) + lane, &zero,
+                              sizeof(zero)) == 0)
+          << where << " spectrum row " << i << " lane " << lane;
+    }
+    for (int64_t lane = normal_lanes; lane < normal_stride; ++lane) {
+      EXPECT_TRUE(std::memcmp(store.NormalRow(i) + lane, &zero,
+                              sizeof(zero)) == 0)
+          << where << " normal row " << i << " lane " << lane;
+    }
+  }
+}
+
+// Leaves freed, nonzero heap memory of about `bytes` behind, so a store
+// allocated next is likely to reuse dirty memory rather than fresh zero
+// pages -- which would hide a missing write of the padding lanes.
+void DirtyTheHeap(size_t bytes) {
+  std::vector<double> junk(bytes / sizeof(double),
+                           std::numeric_limits<double>::quiet_NaN());
+  volatile double sink = junk[junk.size() / 2];
+  (void)sink;
 }
 
 // Global ids per shard in local-row order, computed from the documented
@@ -119,6 +154,9 @@ ReferenceShard BuildReferenceShard(const std::vector<TimeSeries>& batch,
   }
   ref.tree = std::make_unique<RTree>(FeatureDimension(config));
   if (!entries.empty()) {
+    // The serial STR build: with a one-thread budget every slab tiles on
+    // this thread, one after another.
+    ThreadPool::ScopedParallelismBudget serial(1);
     ref.tree->BulkLoad(std::move(entries));
   }
   return ref;
@@ -210,21 +248,23 @@ std::string SnapshotBytes(const Database& db, const std::string& tag) {
   return bytes;
 }
 
-// (num_shards, partition, batch size, one-thread budget)
-using Params = std::tuple<int, ShardingOptions::Partition, int, bool>;
+// (num_shards, partition, batch size, one-thread budget, series length)
+using Params = std::tuple<int, ShardingOptions::Partition, int, bool, int>;
 
 class BulkLoadIdentityTest : public ::testing::TestWithParam<Params> {};
 
 TEST_P(BulkLoadIdentityTest, MatchesSerialReference) {
-  const auto [num_shards, partition, count, budgeted] = GetParam();
+  const auto [num_shards, partition, count, budgeted, length] = GetParam();
   ShardingOptions sharding;
   sharding.num_shards = num_shards;
   sharding.partition = partition;
   const FeatureConfig config;
-  const std::vector<TimeSeries> batch = MakeBatch(count);
+  const std::vector<TimeSeries> batch = MakeBatch(count, length);
 
   Database db(config, RTree::Options(), sharding);
   ASSERT_TRUE(db.CreateRelation("r").ok());
+  DirtyTheHeap(static_cast<size_t>(count) * 2 * static_cast<size_t>(length) *
+               sizeof(double));
   {
     std::unique_ptr<ThreadPool::ScopedParallelismBudget> budget;
     if (budgeted) {
@@ -255,6 +295,8 @@ TEST_P(BulkLoadIdentityTest, MatchesSerialReference) {
 
     const ReferenceShard ref = BuildReferenceShard(batch, ids, config);
     ExpectSameStore(shard.store(), ref.store, where);
+    ExpectZeroPadding(shard.store(), where);
+    ExpectZeroPadding(ref.store, where + " reference");
     for (size_t i = 0; i < ids.size(); ++i) {
       EXPECT_TRUE(SameBits(shard.point(static_cast<int64_t>(i)),
                            ref.points[i].data(), dims))
@@ -292,14 +334,15 @@ TEST_P(BulkLoadIdentityTest, MatchesSerialReference) {
   const std::string tag = std::to_string(num_shards) + "_" +
                           std::to_string(static_cast<int>(partition)) + "_" +
                           std::to_string(count) + "_" +
-                          std::to_string(budgeted);
+                          std::to_string(budgeted) + "_" +
+                          std::to_string(length);
   EXPECT_EQ(SnapshotBytes(db, tag + "_bulk"),
             SnapshotBytes(serial, tag + "_serial"));
 
   // Inserts after the exactly sized bulk load grow the store and keep the
   // loaded rows in place.
   const std::vector<TimeSeries> extra =
-      workload::RandomWalkSeries(2, kLength, 5);
+      workload::RandomWalkSeries(2, length, 5);
   for (size_t i = 0; i < extra.size(); ++i) {
     TimeSeries ts = extra[i];
     ts.id = "extra" + std::to_string(i);
@@ -309,8 +352,8 @@ TEST_P(BulkLoadIdentityTest, MatchesSerialReference) {
     const std::vector<double> normal = ToNormalForm(ts.values).values;
     EXPECT_TRUE(SameBits(data.SpectrumRow(id.value()),
                          InterleaveSpectrum(f.normal_spectrum).data(),
-                         2 * kLength));
-    EXPECT_TRUE(SameBits(data.NormalRow(id.value()), normal.data(), kLength));
+                         2 * length));
+    EXPECT_TRUE(SameBits(data.NormalRow(id.value()), normal.data(), length));
   }
   for (int s = 0; s < num_shards; ++s) {
     const ReferenceShard ref = BuildReferenceShard(
@@ -318,18 +361,55 @@ TEST_P(BulkLoadIdentityTest, MatchesSerialReference) {
     const FeatureStore& store = data.shard(s).store();
     for (int64_t i = 0; i < ref.store.size(); ++i) {
       EXPECT_TRUE(SameBits(store.SpectrumRow(i), ref.store.SpectrumRow(i),
-                           2 * kLength))
+                           2 * length))
           << "shard " << s << " row " << i << " after inserts";
     }
+    ExpectZeroPadding(store, "shard " + std::to_string(s) + " after inserts");
+  }
+}
+
+// One shard holding a batch large enough that the STR build tiles three
+// slabs on the pool at each of its first levels (6000 rows: 188 leaf
+// groups), loaded with and without a one-thread budget: the tree and the
+// packed snapshot match the serial reference bit for bit.
+TEST(BulkLoadIdentity, PooledStrTilingMatchesSerialBuild) {
+  constexpr int kCount = 6000;
+  constexpr int kRowLength = 64;
+  const FeatureConfig config;
+  const std::vector<TimeSeries> batch = MakeBatch(kCount, kRowLength);
+  std::vector<int64_t> ids(kCount);
+  for (int64_t g = 0; g < kCount; ++g) {
+    ids[static_cast<size_t>(g)] = g;
+  }
+  const ReferenceShard ref = BuildReferenceShard(batch, ids, config);
+  const PackedRTree ref_packed(*ref.tree);
+  ShardingOptions sharding;
+  sharding.num_shards = 1;
+  for (const bool budgeted : {false, true}) {
+    const std::string where = budgeted ? "budget1" : "pooled";
+    Database db(config, RTree::Options(), sharding);
+    ASSERT_TRUE(db.CreateRelation("r").ok());
+    {
+      std::unique_ptr<ThreadPool::ScopedParallelismBudget> budget;
+      if (budgeted) {
+        budget = std::make_unique<ThreadPool::ScopedParallelismBudget>(1);
+      }
+      ASSERT_TRUE(db.BulkLoad("r", batch).ok());
+    }
+    const RelationShard& shard = db.GetRelation("r")->sharded().shard(0);
+    ExpectSameStore(shard.store(), ref.store, where);
+    ASSERT_EQ(shard.index().size(), ref.tree->size()) << where;
+    ExpectSameNode(shard.index().root(), ref.tree->root(), where);
+    ExpectSamePacked(shard.packed_index(), ref_packed, where);
   }
 }
 
 std::string ParamName(const ::testing::TestParamInfo<Params>& info) {
-  const auto [num_shards, partition, count, budgeted] = info.param;
+  const auto [num_shards, partition, count, budgeted, length] = info.param;
   return std::to_string(num_shards) + "shards_" +
          (partition == ShardingOptions::Partition::kHash ? "hash" : "range") +
          "_" + std::to_string(count) + "rows_" +
-         (budgeted ? "budget1" : "pooled");
+         (budgeted ? "budget1" : "pooled") + "_len" + std::to_string(length);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -338,7 +418,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(ShardingOptions::Partition::kHash,
                                          ShardingOptions::Partition::kRange),
                        ::testing::Values(1, 255, 256, 257, 1067),
-                       ::testing::Bool()),
+                       ::testing::Bool(), ::testing::Values(45, 64, 128)),
     ParamName);
 
 }  // namespace
